@@ -26,9 +26,7 @@ pub mod enmc;
 pub mod genstore;
 pub mod gpu;
 mod model;
-pub mod smartssd;
 
 pub use enmc::EnmcMachine;
 pub use genstore::{GenStoreMachine, GenStoreReport, GenStoreVariant};
 pub use model::{BaselineArch, BaselineParams};
-pub use smartssd::{SmartSsdMachine, SmartSsdReport, SmartSsdVariant};

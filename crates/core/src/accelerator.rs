@@ -82,11 +82,6 @@ impl ComputeEngine {
     }
 }
 
-/// The 256-lane INT4 MAC array (newtype for call-site clarity).
-pub type Int4Engine = ComputeEngine;
-/// The 64-lane FP32 MAC array.
-pub type Fp32Engine = ComputeEngine;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,7 +58,7 @@ mod rows;
 pub mod scale;
 mod update;
 
-pub use accelerator::{ComputeEngine, Fp32Engine, Int4Engine};
+pub use accelerator::ComputeEngine;
 pub use api::{Ecssd, EcssdError, EcssdMode};
 pub use classifier::{merge_shard_topk, sort_scores, split_batches, Classifier, ClassifierStats};
 pub use config::{AcceleratorConfig, ConfigError, EcssdConfig, EcssdConfigBuilder};

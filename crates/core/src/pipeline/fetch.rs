@@ -1,6 +1,7 @@
 //! The ECSSD classification per-tile stages: screener-weight streaming +
-//! candidate selection, candidate row fetch (hot-row cache, interleaved
-//! layout lookup, fault resolution), and FP32 classification.
+//! candidate selection, candidate row fetch (one [`RowPath::read`] over
+//! the hot-row cache, addressed through the interleaved layout, then
+//! fault resolution), and FP32 classification.
 //!
 //! [`EcssdTileRun`] adapts one [`EcssdMachine`] window to the
 //! [`TileTask`] trait so the shared scheduler
@@ -11,7 +12,7 @@
 //! in [`super::gather`].
 
 use ecssd_layout::{InterleavingStrategy, TileLayout};
-use ecssd_ssd::{PhysPageAddr, SimTime, SsdError};
+use ecssd_ssd::{PhysPageAddr, RowPath, RowReadScratch, SimTime, SsdError};
 use ecssd_trace::Stage;
 
 use super::degrade::{self, TileFaultCtx};
@@ -79,15 +80,12 @@ impl TileTask for EcssdTileRun<'_> {
 }
 
 /// Reusable per-tile fetch scratch owned by the machine, so the tile loop
-/// stops allocating four vectors per tile. Contents are only meaningful
-/// between a `fetch_candidates` call and the end of the `classify_stage`
-/// that issued it.
+/// allocates nothing per tile. Contents are only meaningful between a
+/// `fetch_candidates` call and the end of the stage that issued it.
 #[derive(Debug, Default)]
 pub(super) struct TileScratch {
-    /// Candidate indices that went to NAND (cache misses), in fetch order.
-    fetch_rows: Vec<usize>,
-    /// Flat page address list of the misses (`fetch_rows × pages_per_row`).
-    addrs: Vec<PhysPageAddr>,
+    /// The candidate read's misses (as candidate indices) and their pages.
+    read: RowReadScratch,
     /// Candidate rows excluded from classification (skipped/unrecovered).
     row_dropped: Vec<bool>,
 }
@@ -141,12 +139,13 @@ impl EcssdMachine {
         }
     }
 
-    /// Fetches `cands` into a ping-pong bank. Rows resident in the hot
-    /// cache stream from reserved device DRAM; only misses go to the
-    /// flash channels. Faulted reads are resolved per the active
+    /// Fetches `cands` into a ping-pong bank through the shared row read
+    /// ([`RowPath::read`]): rows resident in the hot cache stream from
+    /// reserved device DRAM; only misses go to the flash channels. Faulted
+    /// reads are resolved per the active
     /// [`DegradationPolicy`](super::DegradationPolicy).
     ///
-    /// Fills the machine-owned [`TileScratch`] (miss rows, page addresses,
+    /// Fills the machine-owned [`TileScratch`] (misses, page addresses,
     /// dropped flags) instead of allocating per tile, and returns when the
     /// last candidate page reached the bank, recovery traffic included.
     pub(super) fn fetch_candidates(
@@ -160,37 +159,12 @@ impl EcssdMachine {
         let bench = *self.source.benchmark();
         let page_bytes = self.config.ssd.geometry.page_bytes;
         let pages_per_row = bench.pages_per_row(page_bytes);
-        let range = self.source.tile_row_range(tile);
+        let tile_start = self.source.tile_row_range(tile).start;
         let cand_bytes = cands.len() as u64 * pages_per_row * page_bytes as u64;
-        // Materialize the layout cache entry before the fetch loop borrows
-        // it immutably (the former code cloned the layout here instead).
+        // Materialize the layout cache entry before the read borrows it
+        // immutably.
         self.tile_layout(tile);
         let bank = self.buffer.acquire(cand_bytes.max(1), screen_done)?;
-        let row_bytes = pages_per_row * page_bytes as u64;
-        self.tile_scratch.fetch_rows.clear();
-        self.tile_scratch.addrs.clear();
-        let mut hit_done = screen_done;
-        // Pass A: cache lookups and DRAM hit traffic, in candidate order
-        // (lookup order is part of the LRU state, so it must not change).
-        for (ci, &row) in cands.iter().enumerate() {
-            if self.hot_cache.lookup(row) {
-                hit_done = hit_done.max(self.dram.transfer(row_bytes, screen_done));
-                self.tracer.count("cache.hit_rows", 1);
-                continue;
-            }
-            self.tile_scratch.fetch_rows.push(ci);
-        }
-        // Pass B: pure address computation for the misses under an
-        // immutable borrow of the cached layout.
-        let layout = &self.layouts[&tile];
-        for i in 0..self.tile_scratch.fetch_rows.len() {
-            let row = cands[self.tile_scratch.fetch_rows[i]];
-            let local = (row - range.start) as usize;
-            for p in 0..pages_per_row {
-                let addr = self.row_page_addr(layout, row, local, p);
-                self.tile_scratch.addrs.push(addr);
-            }
-        }
         // Sense commands go to the dies as soon as screening resolved the
         // addresses; data leaves the page registers once the ping-pong
         // bank is ours — and, with the paper's per-tile scheduler, once
@@ -200,18 +174,43 @@ impl EcssdMachine {
             Some(prev_drain) => bank.max(prev_drain),
             None => bank,
         };
-        let fetch = self
-            .flash
-            .read_batch_checked(&self.tile_scratch.addrs, screen_done, gate);
+        let layout = &self.layouts[&tile];
+        let geometry = &self.config.ssd.geometry;
+        let surviving_dies = &self.surviving_dies;
+        let read = RowPath {
+            cache: &mut self.hot_cache,
+            dram: &mut self.dram,
+            flash: &mut self.flash,
+        }
+        .read(
+            cands,
+            pages_per_row,
+            screen_done,
+            gate,
+            &mut self.tile_scratch.read,
+            |row, page| {
+                // The layout's channel, spread over its surviving dies.
+                let channel = layout.channel_of((row - tile_start) as usize);
+                let dies = surviving_dies[channel].as_deref();
+                Ok(PhysPageAddr::of_row_page(
+                    geometry, channel, row, page, dies,
+                ))
+            },
+        )?;
+        // A tracer lists a counter once it is counted, so a hitless tile
+        // must not count zero.
+        if read.hits > 0 {
+            self.tracer.count("cache.hit_rows", read.hits);
+        }
+        let mut fetch_done = read.done();
         // Read indices cover only the fetched (cache-miss) rows, so they
         // are remapped to candidate indices before recovery.
         let ppr = pages_per_row as usize;
-        let mut fetch_done = fetch.done.max(hit_done);
         self.tile_scratch.row_dropped.clear();
         self.tile_scratch.row_dropped.resize(cands.len(), false);
-        let mut failed = fetch.failures;
+        let mut failed = read.batch.failures;
         for f in &mut failed {
-            f.index = self.tile_scratch.fetch_rows[f.index / ppr] * ppr + f.index % ppr;
+            f.index = self.tile_scratch.read.misses[f.index / ppr] * ppr + f.index % ppr;
         }
         if !failed.is_empty() {
             // Dead-die detections feed back into interleaving and
@@ -293,13 +292,13 @@ impl EcssdMachine {
         let ppr = pages_per_row as usize;
         let row_bytes = pages_per_row * page_bytes as u64;
         let per_page_ns = self.config.ssd.timing.page_transfer_ns(page_bytes);
-        for fi in 0..self.tile_scratch.fetch_rows.len() {
-            let ci = self.tile_scratch.fetch_rows[fi];
+        for fi in 0..self.tile_scratch.read.misses.len() {
+            let ci = self.tile_scratch.read.misses[fi];
             if self.tile_scratch.row_dropped[ci] {
                 continue;
             }
             for p in 0..ppr {
-                let channel = self.tile_scratch.addrs[fi * ppr + p].channel;
+                let channel = self.tile_scratch.read.addrs[fi * ppr + p].channel;
                 self.fp_busy[channel] += per_page_ns;
                 self.fp_bytes[channel] += page_bytes as u64;
             }
@@ -348,21 +347,6 @@ impl EcssdMachine {
             self.layouts.insert(tile, layout);
         }
         &self.layouts[&tile]
-    }
-
-    /// Physical address of page `page` of a tile-local candidate row,
-    /// honoring the layout's channel and spreading rows over the
-    /// channel's surviving dies.
-    pub(super) fn row_page_addr(
-        &self,
-        layout: &TileLayout,
-        global_row: u64,
-        local_row: usize,
-        page: u64,
-    ) -> PhysPageAddr {
-        let channel = layout.channel_of(local_row);
-        let dies = self.surviving_dies[channel].as_deref();
-        PhysPageAddr::of_row_page(&self.config.ssd.geometry, channel, global_row, page, dies)
     }
 
     /// Per-channel health weights for failure-aware interleaving: the

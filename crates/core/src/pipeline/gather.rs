@@ -1,6 +1,8 @@
 //! The RecSSD-style embedding-gather task: route each batch's lookup ids
-//! to the table tiles, fetch the looked-up rows over the shared hot-row
-//! cache + interleaved-layout path, and pool them on the FP32 engine.
+//! to the table tiles, fetch the looked-up rows with the classification
+//! task's candidate fetch (one [`ecssd_ssd::RowPath::read`] over the
+//! hot-row cache, addressed through the interleaved layout), and pool them
+//! on the FP32 engine.
 //!
 //! Gather is the substrate's second [`TileTask`]: read-dominated with
 //! trivial compute, so it stresses interleaving and the hot-row cache in

@@ -22,11 +22,11 @@
 //!   and the shared [`run_tile_loop`] driver (also used by the GenStore
 //!   DES baseline in `ecssd-baselines`);
 //! * [`fetch`](self) — the classification task's stage implementations:
-//!   screener-weight streaming + candidate selection, candidate fetch
-//!   through the hot-row cache and interleaved layout, FP32
-//!   classification;
+//!   screener-weight streaming + candidate selection, the candidate fetch
+//!   (one [`ecssd_ssd::RowPath::read`] over the hot-row cache, addressed
+//!   through the interleaved layout), FP32 classification;
 //! * [`gather`](self) — the RecSSD-style embedding-gather task: lookup-id
-//!   routing, the same shared row fetch, pooling compute;
+//!   routing, the same candidate fetch, pooling compute;
 //! * [`degrade`](self) — the Fail/Retry/Reconstruct/Skip fault ladder;
 //! * [`report`](self) — [`RunReport`] / [`TileTiming`] assembly.
 
@@ -190,7 +190,7 @@ pub struct EcssdMachine {
     /// [`RunReport::health`]).
     ledger: DegradeLedger,
     /// Reusable per-tile fetch scratch (see [`fetch::TileScratch`]), so the
-    /// tile loop stops allocating per tile.
+    /// tile loop allocates nothing per tile.
     tile_scratch: fetch::TileScratch,
     /// Span-trace handle shared with every timed resource (disabled by
     /// default; see [`EcssdMachine::enable_tracing`]).

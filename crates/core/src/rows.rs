@@ -4,7 +4,7 @@
 
 use std::collections::BTreeSet;
 
-use ecssd_ssd::{HotRowCache, PhysPageAddr, SimTime, SsdDevice, SsdError};
+use ecssd_ssd::{HotRowCache, RowPath, RowReadScratch, SimTime, SsdDevice, SsdError};
 
 /// The weight rows the device keeps in flash. Row `r` occupies `pages`
 /// consecutive LPNs starting at `firsts[r]`, and keys the hot-row cache by
@@ -52,11 +52,12 @@ impl RowRegion {
         cache.invalidate_rows(&keys);
     }
 
-    /// Fetches a batch's candidate `union` as one request: each row is
-    /// looked up in the hot-row cache once, every hit streams from device
-    /// DRAM, and the misses are read from flash in one batch read, all
-    /// issued at `t`, then cached. Returns when the last row has arrived,
-    /// or the first injected flash fault as [`SsdError::Uncorrectable`] /
+    /// Fetches a batch's candidate `union` as one request through the
+    /// shared row read ([`RowPath::read`]): each row is looked up in the
+    /// hot-row cache once, every hit streams from device DRAM, and the
+    /// misses are read from flash in one batch read, all issued at `t`,
+    /// then cached. Returns when the last row has arrived, or the first
+    /// injected flash fault as [`SsdError::Uncorrectable`] /
     /// [`SsdError::DieFailed`], caching nothing from the failed batch.
     pub(crate) fn fetch(
         &self,
@@ -66,34 +67,29 @@ impl RowRegion {
         t: SimTime,
     ) -> Result<SimTime, SsdError> {
         let row_bytes = self.pages * device.config().geometry.page_bytes as u64;
-        union.addrs.clear();
-        union.misses.clear();
-        let mut hit_done = t;
-        for &row in &union.rows {
-            if cache.lookup(row) {
-                hit_done = hit_done.max(device.dram_mut().transfer(row_bytes, t));
-                continue;
-            }
-            union.misses.push(row);
-            let first = self.firsts[row as usize];
-            for lpn in first..first + self.pages {
-                union.addrs.push(device.ftl().translate(lpn)?);
-            }
-        }
-        let batch = device.flash_mut().read_batch_checked(&union.addrs, t, t);
-        if let Some(fault) = batch.failures.first() {
+        let (ftl, dram, flash) = device.split_mut();
+        let path = RowPath { cache, dram, flash };
+        let read = path.read(
+            &union.rows,
+            self.pages,
+            t,
+            t,
+            &mut union.read,
+            |row, page| ftl.translate(self.firsts[row as usize] + page),
+        )?;
+        if let Some(fault) = read.batch.failures.first() {
             return Err(fault.error());
         }
-        for &key in &union.misses {
-            cache.insert(key, row_bytes);
+        for &i in &union.read.misses {
+            cache.insert(union.rows[i], row_bytes);
         }
-        Ok(batch.done.max(hit_done))
+        Ok(read.done())
     }
 }
 
 /// The distinct candidate rows of one device batch, in first-use
-/// (query-major) order, with a membership mark per row id, and the
-/// buffers [`RowRegion::fetch`] reads them through. Device scratch, reused
+/// (query-major) order, with a membership mark per row id, and the read
+/// scratch [`RowRegion::fetch`] reuses. Device scratch, reused
 /// across batches: [`CandidateUnion::clear`] unmarks by walking the union,
 /// so a batch touches only the marks of the rows it selected, and the
 /// marks grow only when a larger row id first appears.
@@ -101,10 +97,8 @@ impl RowRegion {
 pub(crate) struct CandidateUnion {
     rows: Vec<u64>,
     marked: Vec<bool>,
-    /// The flash pages of the rows that missed the cache, in row order.
-    addrs: Vec<PhysPageAddr>,
-    /// The rows that missed the cache, cached once their read succeeds.
-    misses: Vec<u64>,
+    /// The union's read: its misses, cached once the read succeeds.
+    read: RowReadScratch,
 }
 
 impl CandidateUnion {

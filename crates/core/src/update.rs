@@ -274,7 +274,7 @@ impl Ecssd {
             erased_blocks: gc_after.erased_blocks - gc_before.erased_blocks,
         };
         if report.gc != GcReport::default() {
-            let (ftl, flash) = self.device.ftl_and_flash_mut();
+            let (ftl, _, flash) = self.device.split_mut();
             t = t.max(ftl.charge_gc(flash, rep.channel, report.gc, t));
         }
         let dies = self.device.config().geometry.dies_per_channel;

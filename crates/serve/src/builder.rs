@@ -1,6 +1,5 @@
-//! The validating [`ServeEngineBuilder`]: one construction path replacing
-//! the `new` / `with_tracing` + post-hoc `enable_journal` /
-//! `filter_threshold` constructor sprawl.
+//! The validating [`ServeEngineBuilder`]: the one construction path of a
+//! [`ServeEngine`].
 
 use ecssd_control::Controller;
 use ecssd_core::{EcssdConfig, EcssdError, SloTargets};
@@ -12,10 +11,8 @@ use crate::engine::{EngineOptions, ServeEngine, ServePolicy};
 
 /// Builds a [`ServeEngine`] in one validated step.
 ///
-/// The pre-builder API scattered engine setup across two constructors and
-/// two post-construction calls that each could fail; the builder collects
-/// every knob first and [`ServeEngineBuilder::build`] validates and applies
-/// them in one place:
+/// The builder collects every knob first and [`ServeEngineBuilder::build`]
+/// validates and applies them in one place:
 ///
 /// ```
 /// use ecssd_core::{EcssdConfig, SloTargets};

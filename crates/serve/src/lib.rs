@@ -14,10 +14,8 @@
 //!    batches. Construct with [`ServeEngine::builder`]. (The embedding-gather
 //!    model is studied on the timing machine,
 //!    `ecssd_core::EcssdMachine::run_gather_window`.)
-//! 2. [`ServeEngineBuilder`] — one validating builder collapsing the old
-//!    `new` / `with_tracing` / `enable_journal` / `filter_threshold`
-//!    constructor sprawl: shards, policy, tracing, journal, cache sizing
-//!    and SLO targets in one place.
+//! 2. [`ServeEngineBuilder`] — one validating builder: shards, policy,
+//!    tracing, journal, cache sizing and SLO targets in one place.
 //! 3. [`Fleet`] — `R` replicated engine groups behind a load balancer fed
 //!    by an open-loop arrival process (`ecssd_workloads::OpenLoopArrivals`):
 //!    per-class QoS (latency-sensitive vs batch), deadline-aware admission

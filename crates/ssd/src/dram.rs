@@ -5,14 +5,16 @@
 //! The DRAM can also host a [`HotRowCache`]: an LRU cache of recently
 //! fetched FP32 candidate rows, so repeated candidates under skewed query
 //! traffic are served from DRAM instead of re-reading NAND (the RecSSD-style
-//! device-side caching the serving engine builds on).
+//! device-side caching the serving engine builds on). [`RowPath::read`] is
+//! the one candidate-row read through it: cache lookup, DRAM hit, flash
+//! batch read.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use ecssd_trace::{Stage, Tracer};
 
-use crate::{Bandwidth, CacheStats, SimTime, SsdError};
+use crate::{Bandwidth, BatchRead, CacheStats, FlashSim, PhysPageAddr, SimTime, SsdError};
 
 /// The SSD's internal DRAM.
 #[derive(Debug, Clone)]
@@ -440,6 +442,114 @@ impl HotRowCache {
     pub fn reset(&mut self) {
         let capacity = self.capacity_bytes;
         *self = HotRowCache::new(capacity);
+    }
+}
+
+/// The device resources a candidate-row read runs on: the hot-row cache in
+/// front, the DRAM its hits stream from and the flash its misses are read
+/// from.
+#[derive(Debug)]
+pub struct RowPath<'a> {
+    /// The cache every row is looked up in.
+    pub cache: &'a mut HotRowCache,
+    /// The DRAM interface hits stream over.
+    pub dram: &'a mut Dram,
+    /// The flash array misses are read from.
+    pub flash: &'a mut FlashSim,
+}
+
+/// Caller-kept scratch for [`RowPath::read`], reused across reads so a
+/// read allocates nothing once its vectors have grown.
+#[derive(Debug, Clone, Default)]
+pub struct RowReadScratch {
+    /// Positions in the row list of the rows that missed, in list order.
+    pub misses: Vec<usize>,
+    /// The misses' flash pages, `pages_per_row` per miss in miss order;
+    /// [`FailedRead::index`](crate::FailedRead::index) indexes this list.
+    pub addrs: Vec<PhysPageAddr>,
+}
+
+/// One [`RowPath::read`]: the rows [`RowReadScratch::misses`] names went
+/// to flash, every other row was served from DRAM.
+#[derive(Debug, Clone)]
+pub struct RowRead {
+    /// Rows served from DRAM.
+    pub hits: u64,
+    /// When the last hit arrived (the issue time when none hit).
+    pub hit_done: SimTime,
+    /// The misses' batch read.
+    pub batch: BatchRead,
+}
+
+impl RowRead {
+    /// When every row arrived or its failure was known.
+    pub fn done(&self) -> SimTime {
+        self.batch.done.max(self.hit_done)
+    }
+}
+
+impl RowPath<'_> {
+    /// Reads `rows` of `pages_per_row` pages each. Every row is looked up
+    /// in the cache once, in list order (lookup order is LRU state); a hit
+    /// streams from DRAM at `issue`, and a miss's pages, addressed by
+    /// `page_addr(row, page)`, join one [`FlashSim::read_batch_checked`]
+    /// that senses at `issue` and moves data from `gate` on. Nothing is
+    /// inserted into the cache: which misses to cache after a failed page
+    /// is the caller's policy.
+    ///
+    /// ```
+    /// use ecssd_ssd::*;
+    /// let mut flash = FlashSim::new(SsdGeometry::tiny(), FlashTiming::paper_default());
+    /// let mut dram = Dram::paper_default();
+    /// let mut cache = HotRowCache::new(8192);
+    /// cache.insert(7, 4096); // row 7 is hot, row 9 is not
+    /// let mut scratch = RowReadScratch::default();
+    /// let path = RowPath { cache: &mut cache, dram: &mut dram, flash: &mut flash };
+    /// let t = SimTime::ZERO;
+    /// let read = path.read(&[7, 9], 1, t, t, &mut scratch, |row, page| {
+    ///     let channel = (row % 4) as usize;
+    ///     Ok(PhysPageAddr { channel, die: 0, plane: 0, block: 0, page: page as usize })
+    /// })?;
+    /// assert_eq!((read.hits, scratch.misses.as_slice()), (1, &[1][..]));
+    /// assert!(read.batch.all_ok() && read.done() > t);
+    /// # Ok::<(), SsdError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of `page_addr`. The rows before it have
+    /// been looked up and their hits streamed; no flash read was issued.
+    pub fn read<F>(
+        self,
+        rows: &[u64],
+        pages_per_row: u64,
+        issue: SimTime,
+        gate: SimTime,
+        scratch: &mut RowReadScratch,
+        mut page_addr: F,
+    ) -> Result<RowRead, SsdError>
+    where
+        F: FnMut(u64, u64) -> Result<PhysPageAddr, SsdError>,
+    {
+        let row_bytes = pages_per_row * self.flash.geometry().page_bytes as u64;
+        scratch.misses.clear();
+        scratch.addrs.clear();
+        let mut hit_done = issue;
+        for (i, &row) in rows.iter().enumerate() {
+            if self.cache.lookup(row) {
+                hit_done = hit_done.max(self.dram.transfer(row_bytes, issue));
+                continue;
+            }
+            scratch.misses.push(i);
+            for page in 0..pages_per_row {
+                scratch.addrs.push(page_addr(row, page)?);
+            }
+        }
+        Ok(RowRead {
+            hits: (rows.len() - scratch.misses.len()) as u64,
+            hit_done,
+            batch: self.flash.read_batch_checked(&scratch.addrs, issue, gate),
+        })
     }
 }
 

@@ -53,7 +53,7 @@ mod ssd;
 mod stats;
 
 pub use buffer::PingPongBuffer;
-pub use dram::{Dram, HotRowCache};
+pub use dram::{Dram, HotRowCache, RowPath, RowRead, RowReadScratch};
 pub use error::SsdError;
 pub use fault::{FaultDecision, FaultInjector, FaultPlan};
 pub use flash::{BatchRead, BatchSense, FailedRead, FlashSim, FlashTiming, PageReadResult};
@@ -64,11 +64,10 @@ pub use journal::{
     JournalConfig, JournalRecord, JournalStats, MetadataJournal, PowerLossInjector, RecoveryReport,
     ReplayCounts, ReplayedState, JOURNAL_RECORD_BYTES,
 };
-pub use ssd::{QueueReport, SsdConfig, SsdDevice};
+pub use ssd::{SsdConfig, SsdDevice};
 pub use stats::{
     CacheStats, ChannelStats, DieWearReport, HealthReport, ImbalanceReport, ScrubReport,
 };
-// Time primitives moved to `ecssd-trace` (the root of the dependency graph,
-// so the device model can emit trace spans); re-exported here so existing
-// `ecssd_ssd::SimTime` users keep working.
+// The time and trace primitives live in `ecssd-trace`, the root of the
+// dependency graph, so the device model can emit trace spans.
 pub use ecssd_trace::{Bandwidth, SimTime, Span, Stage, Tracer};

@@ -68,41 +68,6 @@ impl Default for SsdConfig {
     }
 }
 
-/// Latency report of a served SSD-mode request queue.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueueReport {
-    /// Per-request completion times, in submission order.
-    pub completions: Vec<SimTime>,
-    /// Per-request latencies (completion − arrival), ns.
-    pub latencies_ns: Vec<u64>,
-}
-
-impl QueueReport {
-    fn new(completions: Vec<SimTime>, latencies_ns: Vec<u64>) -> Self {
-        QueueReport {
-            completions,
-            latencies_ns,
-        }
-    }
-
-    /// Mean latency, ns.
-    pub fn mean_ns(&self) -> f64 {
-        if self.latencies_ns.is_empty() {
-            return 0.0;
-        }
-        self.latencies_ns.iter().sum::<u64>() as f64 / self.latencies_ns.len() as f64
-    }
-
-    /// Latency at quantile `q` in `[0, 1]` (e.g. 0.99 for p99), ns, with
-    /// linear interpolation between closest ranks (see
-    /// [`ecssd_trace::percentile_ns`]).
-    pub fn quantile_ns(&self, q: f64) -> f64 {
-        let mut sorted = self.latencies_ns.clone();
-        sorted.sort_unstable();
-        ecssd_trace::percentile_ns(&sorted, q)
-    }
-}
-
 /// An assembled SSD in conventional (SSD-mode) operation.
 #[derive(Debug, Clone)]
 pub struct SsdDevice {
@@ -183,11 +148,11 @@ impl SsdDevice {
         &mut self.ftl
     }
 
-    /// Split borrow for GC accounting: [`Ftl::charge_gc`] reads the FTL
-    /// while charging flash timing, which a single `&mut self` accessor
-    /// cannot express.
-    pub fn ftl_and_flash_mut(&mut self) -> (&Ftl, &mut FlashSim) {
-        (&self.ftl, &mut self.flash)
+    /// Split borrow for work that reads the FTL while charging DRAM or
+    /// flash time (GC accounting, candidate-row reads), which a single
+    /// `&mut self` accessor cannot express.
+    pub fn split_mut(&mut self) -> (&Ftl, &mut Dram, &mut FlashSim) {
+        (&self.ftl, &mut self.dram, &mut self.flash)
     }
 
     /// The device DRAM.
@@ -237,29 +202,6 @@ impl SsdDevice {
         Ok(self
             .host
             .transfer(pages * self.config.geometry.page_bytes as u64, staged))
-    }
-
-    /// Serves a queue of SSD-mode read requests `(lpn, pages, arrival)` and
-    /// returns per-request completion times plus latency statistics — the
-    /// conventional-workload view of the device (queueing on the host link,
-    /// the flash channels, and the dies all emerge from the timelines).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SsdDevice::host_read`]'s errors; earlier requests
-    /// remain applied.
-    pub fn host_read_queue(
-        &mut self,
-        requests: &[(u64, u64, SimTime)],
-    ) -> Result<QueueReport, SsdError> {
-        let mut completions = Vec::with_capacity(requests.len());
-        let mut latencies = Vec::with_capacity(requests.len());
-        for &(lpn, pages, arrival) in requests {
-            let done = self.host_read(lpn, pages, arrival)?;
-            latencies.push(done.saturating_since(arrival));
-            completions.push(done);
-        }
-        Ok(QueueReport::new(completions, latencies))
     }
 
     /// SSD-mode TRIM of `pages` logical pages starting at `lpn`: drops the
@@ -538,8 +480,7 @@ mod tests {
             channel: first.channel,
             die: first.die,
         };
-        assert_eq!(ssd.host_read(0, 4, w), Err(expected.clone()));
-        assert_eq!(ssd.host_read_queue(&[(0, 4, w)]).err(), Some(expected));
+        assert_eq!(ssd.host_read(0, 4, w), Err(expected));
     }
 
     #[test]
@@ -573,34 +514,6 @@ mod tests {
         // Trimmed LPNs fail reads; surviving ones still work.
         assert!(ssd.host_read(0, 1, t).is_err());
         assert!(ssd.host_read(8, 8, t).is_ok());
-    }
-
-    #[test]
-    fn queued_reads_report_latencies() {
-        let mut ssd = SsdDevice::new(SsdConfig::tiny());
-        let w = ssd.host_write(0, 32, SimTime::ZERO).unwrap();
-        // A burst of 16 single-page reads arriving together queues up.
-        let requests: Vec<(u64, u64, SimTime)> = (0..16).map(|i| (i * 2, 1, w)).collect();
-        let report = ssd.host_read_queue(&requests).unwrap();
-        assert_eq!(report.completions.len(), 16);
-        assert!(report.mean_ns() > 0.0);
-        // Queueing: the p99 latency exceeds the fastest request's latency.
-        assert!(report.quantile_ns(0.99) > report.quantile_ns(0.0));
-        // Completions are monotone for an in-order queue over one link.
-        assert!(report.completions.windows(2).all(|p| p[0] <= p[1]));
-    }
-
-    #[test]
-    fn quantiles_interpolate_between_closest_ranks() {
-        let report = QueueReport::new(vec![], vec![400, 100, 300, 200]);
-        // Fractional ranks fall between samples instead of snapping to the
-        // nearest one (the old nearest-rank p50 of this set was 300).
-        assert!((report.quantile_ns(0.50) - 250.0).abs() < 1e-9);
-        assert!((report.quantile_ns(0.25) - 175.0).abs() < 1e-9);
-        assert_eq!(report.quantile_ns(0.0), 100.0);
-        assert_eq!(report.quantile_ns(1.0), 400.0);
-        // Empty reports stay well-defined.
-        assert_eq!(QueueReport::new(vec![], vec![]).quantile_ns(0.99), 0.0);
     }
 
     #[test]

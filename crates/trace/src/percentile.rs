@@ -1,7 +1,7 @@
 //! Shared percentile estimator for latency reports.
 //!
-//! Every crate that summarizes a latency distribution (`ecssd-ssd`'s
-//! SSD-mode queue reports, `ecssd-serve`'s serving metrics) uses this one
+//! Every crate that summarizes a latency distribution (`ecssd-core`'s
+//! host-path reports, `ecssd-serve`'s serving metrics) uses this one
 //! definition, so a p99 means the same thing everywhere: linear
 //! interpolation between closest ranks, the same estimator NumPy's default
 //! `percentile` uses.

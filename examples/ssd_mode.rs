@@ -8,7 +8,8 @@
 //! Fills part of the device, overwrites a hot working set until garbage
 //! collection kicks in, and reports queue latencies, GC activity and wear.
 
-use ecssd::ssd::{SimTime, SsdConfig, SsdDevice};
+use ecssd::ssd::{SimTime, SsdConfig, SsdDevice, SsdError};
+use ecssd::trace::percentile_ns;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ssd = SsdDevice::new(SsdConfig::tiny());
@@ -43,15 +44,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         gc.moved_pages, gc.erased_blocks, wear.max_erases, wear.mean_erases
     );
 
-    // 3. A random-read burst with queue-latency statistics.
-    let requests: Vec<(u64, u64, SimTime)> = (0..64u64).map(|i| ((i * 37) % fill, 1, t)).collect();
-    let report = ssd.host_read_queue(&requests)?;
+    // 3. A burst of random single-page reads, all arriving at `t`: they
+    // queue on the dies, the channels and the host link.
+    let mut latencies = (0..64u64)
+        .map(|i| Ok(ssd.host_read((i * 37) % fill, 1, t)?.saturating_since(t)))
+        .collect::<Result<Vec<u64>, SsdError>>()?;
+    latencies.sort_unstable();
     println!(
         "random-read burst of {} requests: mean latency {:.1} us, p50 {:.1} us, p99 {:.1} us",
-        requests.len(),
-        report.mean_ns() / 1e3,
-        report.quantile_ns(0.5) / 1e3,
-        report.quantile_ns(0.99) / 1e3,
+        latencies.len(),
+        latencies.iter().sum::<u64>() as f64 / latencies.len() as f64 / 1e3,
+        percentile_ns(&latencies, 0.5) / 1e3,
+        percentile_ns(&latencies, 0.99) / 1e3,
     );
 
     // 4. Channel utilization of the whole episode.
