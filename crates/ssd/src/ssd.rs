@@ -517,6 +517,27 @@ mod tests {
     }
 
     #[test]
+    fn queued_reads_report_latencies() {
+        let mut ssd = SsdDevice::new(SsdConfig::tiny());
+        let w = ssd.host_write(0, 32, SimTime::ZERO).unwrap();
+        // A burst of 16 single-page reads arriving together queues up.
+        let completions: Vec<SimTime> = (0..16)
+            .map(|i| ssd.host_read(i * 2, 1, w).unwrap())
+            .collect();
+        let mut latencies: Vec<u64> = completions.iter().map(|d| d.saturating_since(w)).collect();
+        latencies.sort_unstable();
+        assert_eq!(completions.len(), 16);
+        assert!(latencies.iter().sum::<u64>() > 0);
+        // Queueing: the p99 latency exceeds the fastest request's latency.
+        assert!(
+            ecssd_trace::percentile_ns(&latencies, 0.99)
+                > ecssd_trace::percentile_ns(&latencies, 0.0)
+        );
+        // Completions are monotone for an in-order queue over one link.
+        assert!(completions.windows(2).all(|p| p[0] <= p[1]));
+    }
+
+    #[test]
     fn paper_config_capacity() {
         let c = SsdConfig::paper_default();
         assert_eq!(c.geometry.capacity_bytes(), 4 << 40);
