@@ -11,12 +11,11 @@
 //! pages, and invalidates the touched rows in the hot-row cache — the
 //! staleness barrier that makes a pre-update cached row image unreachable.
 
-use ecssd_layout::ParityScheme;
 use ecssd_screen::{Int4Matrix, RowImage};
 use ecssd_ssd::{GcReport, PhysPageAddr, SimTime};
 use ecssd_update::{
-    ParityRefreshModel, RequantPolicy, ScaleDriftDetector, UpdateBatch, UpdateOp, UpdatePolicy,
-    UpdateReport,
+    ParityRefreshCost, ParityRefreshModel, RequantPolicy, ScaleDriftDetector, UpdateBatch,
+    UpdateOp, UpdatePolicy, UpdateReport,
 };
 
 use crate::api::{Ecssd, EcssdError};
@@ -171,19 +170,22 @@ impl Ecssd {
             .iter()
             .filter(|op| !matches!(op, StagedOp::Remove(_)))
             .count() as u64;
-        let mut t = self
+        let issue = self
             .device
             .host_mut()
             .transfer(payload_rows * 4 * image.cols() as u64, self.clock);
         // Staging is asynchronous with serving: the host hands the batch
         // off (the clock advances past the PCIe transfer only) and the
-        // programs below occupy the flash timelines in the background.
-        // Query reads issued later queue behind them wherever they collide
-        // on a die or channel bus — the read/write interference the update
-        // study measures.
-        let issue = t;
+        // writes below occupy the flash timelines in the background, all
+        // issued at once as a controller queues them: each die programs
+        // its own pages while the others program theirs. Query reads
+        // issued later queue behind them wherever they collide on a die
+        // or channel bus — the read/write interference the update study
+        // measures. The INT4 re-encode transfers run on the DRAM's own
+        // timeline.
+        let mut dram = issue;
+        let mut programs = issue;
         let staged_before = staged.staged_lpns.len();
-        let mut rep_addr: Option<PhysPageAddr> = None;
         let pages = self.rows.weights.pages;
         let gc_before = self.device.ftl().gc_totals();
         let row_bytes = (screener.projected_dim().div_ceil(2) + 4) as u64;
@@ -218,7 +220,7 @@ impl Ecssd {
             };
             let old_first = delta.stage_row(row, rows, i, int4, &self.rows.weights.firsts)?;
             if !matches!(op, StagedOp::Add) {
-                t = self.device.dram_mut().transfer(row_bytes, t);
+                dram = self.device.dram_mut().transfer(row_bytes, dram);
                 match drift {
                     None => report.rows_requantized += 1,
                     Some(drift) => {
@@ -229,7 +231,7 @@ impl Ecssd {
                             report.rows_requantized += delta.rows() as u64;
                             report.drift_requants += 1;
                             self.drift.reset();
-                            t = self.device.dram_mut().transfer(int4_bytes, t);
+                            dram = self.device.dram_mut().transfer(int4_bytes, dram);
                         }
                     }
                 }
@@ -237,59 +239,66 @@ impl Ecssd {
                 // first touch — they stay readable until commit).
                 staged.freed_lpns.extend(old_first..old_first + pages);
             }
-            // Program version N+1's row at fresh LPNs.
-            let (placed, done) = self.rows.lpns.place(&mut self.device, 1, pages, t)?;
-            t = done;
+            // Program version N+1's row at fresh LPNs, issued with the
+            // batch. A row placed before a later row fails stays in
+            // `staged_lpns`, so the error path recycles it.
+            let (placed, done) = self.rows.lpns.place(&mut self.device, 1, pages, issue)?;
+            programs = programs.max(done);
             for first in placed {
-                if rep_addr.is_none() {
-                    rep_addr = self.device.ftl().translate(first).ok();
-                }
                 delta.set_first(row, first);
                 staged.staged_lpns.extend(first..first + pages);
             }
             report.pages_programmed += pages;
         }
         let new_lpns = &staged.staged_lpns[staged_before..];
-        t = self.charge_side_effects(&mut report, gc_before, rep_addr, new_lpns, t);
-        report.staged_at = t;
+        let side_effects = self.charge_side_effects(&mut report, gc_before, new_lpns, issue);
+        report.staged_at = programs.max(dram).max(side_effects);
         self.clock = issue;
         Ok(report)
     }
 
-    /// Charges what the update writes triggered beyond the data programs:
-    /// GC relocations/erases and the RAID-5 read-modify-write of the
-    /// touched stripes.
+    /// Charges what the update writes triggered beyond the data programs,
+    /// issued with them at `issue`: GC relocations/erases, and the RAID-5
+    /// read-modify-write of each touched stripe on that stripe's own dies.
+    /// Returns when the last of them completes.
     fn charge_side_effects(
         &mut self,
         report: &mut UpdateReport,
         gc_before: GcReport,
-        rep_addr: Option<PhysPageAddr>,
         new_lpns: &[u64],
-        mut t: SimTime,
+        issue: SimTime,
     ) -> SimTime {
-        let rep = rep_addr.unwrap_or_default();
-        let gc_after = self.device.ftl().gc_totals();
+        let ftl = self.device.ftl();
+        let new_pages: Vec<PhysPageAddr> = new_lpns
+            .iter()
+            .filter_map(|&lpn| ftl.translate(lpn).ok())
+            .collect();
+        let gc_after = ftl.gc_totals();
         report.gc = GcReport {
             moved_pages: gc_after.moved_pages - gc_before.moved_pages,
             erased_blocks: gc_after.erased_blocks - gc_before.erased_blocks,
         };
+        let mut done = issue;
         if report.gc != GcReport::default() {
+            let channel = new_pages.first().map_or(0, |p| p.channel);
             let (ftl, _, flash) = self.device.split_mut();
-            t = t.max(ftl.charge_gc(flash, rep.channel, report.gc, t));
+            done = done.max(ftl.charge_gc(flash, channel, report.gc, issue));
         }
-        let dies = self.device.config().geometry.dies_per_channel;
-        if !new_lpns.is_empty() && dies >= 2 {
-            let model = ParityRefreshModel::new(ParityScheme::new(dies));
-            let cost = model.refresh_for_pages(new_lpns);
-            for _ in 0..cost.page_reads {
-                t = t.max(self.device.flash_mut().read_page(rep, t).done);
+        let geometry = self.device.config().geometry;
+        if !new_pages.is_empty() && geometry.dies_per_channel >= 2 {
+            let refresh = ParityRefreshModel::new(geometry).refresh_for_pages(&new_pages);
+            let flash = self.device.flash_mut();
+            for stripe in &refresh {
+                // The new parity needs the old images read first.
+                let read = stripe
+                    .reads
+                    .iter()
+                    .fold(issue, |t, &addr| t.max(flash.read_page(addr, issue).done));
+                done = done.max(flash.program_page(stripe.parity, read));
             }
-            for _ in 0..cost.parity_programs {
-                t = t.max(self.device.flash_mut().program_page(rep, t));
-            }
-            report.parity = cost;
+            report.parity = ParityRefreshCost::of(&refresh);
         }
-        t
+        done
     }
 
     /// Atomically swaps the staged version in: queries issued after this

@@ -2,12 +2,17 @@
 //! isolation, atomic commit, cache staleness barrier, LPN recycling, and
 //! the bit-identical acceptance property (a served device that applies
 //! updates online converges to exactly the state of a quiesced redeploy
-//! of the same final weights).
+//! of the same final weights), and the conservation law of the write
+//! path's flash time.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeSet;
+
 use ecssd_core::prelude::*;
 use ecssd_core::{RequantPolicy, UpdateBatch, UpdatePolicy};
+use ecssd_ssd::{GcReport, PhysPageAddr};
+use proptest::prelude::*;
 
 const ROWS: usize = 256;
 const COLS: usize = 64;
@@ -291,4 +296,91 @@ fn malformed_batches_are_rejected_cleanly() {
         .is_err());
 
     assert_eq!(baseline, dev.classify_batch(&queries(), 8).unwrap());
+}
+
+/// One batch from `(kind, pick)` draws (0 = add, 1 = replace, 2 =
+/// remove); a second op on a touched row is dropped.
+fn drawn_batch(ops: &[(u8, u16)]) -> UpdateBatch {
+    let mut batch = UpdateBatch::new(COLS);
+    let mut targets = BTreeSet::new();
+    for &(kind, pick) in ops {
+        let target = usize::from(pick) % ROWS;
+        batch = match kind {
+            0 => batch.add(hot_row(f32::from(pick) * 0.01)),
+            _ if !targets.insert(target) => continue,
+            1 => batch.replace(target, hot_row(f32::from(pick) * 0.01)),
+            _ => batch.remove(target),
+        }
+        .unwrap();
+    }
+    batch
+}
+
+proptest! {
+    /// The write path's flash time, by law, on the tiny geometry (2 dies
+    /// a channel, so every rewritten page is its own full parity stripe
+    /// and its parity's only legal die is the other die of its channel),
+    /// with the journal and the hot-row cache off:
+    /// - every die's busy time grows by exactly its data programs plus the
+    ///   parity programs of the other die's data pages, times tPROG; so no
+    ///   parity program sits on its data page's die or leaves its channel;
+    /// - the batch completes, counted from its issue, within the time its
+    ///   dies need when they program in parallel: for some die, its
+    ///   programs × tPROG plus every page transfer on its channel.
+    #[test]
+    fn update_writes_program_their_dies_in_parallel(
+        ops in prop::collection::vec((0u8..3, any::<u16>()), 1..48),
+        seed in any::<u64>(),
+    ) {
+        let mut dev = device();
+        dev.weight_deploy(&DenseMatrix::random(ROWS, COLS, seed)).unwrap();
+        let ssd = dev.device();
+        let geometry = ssd.config().geometry;
+        let timing = *ssd.flash().timing();
+        let lpns = ssd.ftl().logical_pages();
+        let mapping = |dev: &Ecssd| -> Vec<Option<PhysPageAddr>> {
+            (0..lpns).map(|l| dev.device().ftl().translate(l).ok()).collect()
+        };
+        let mapped_before = mapping(&dev);
+        let busy_before = ssd.flash().die_busy_ns().to_vec();
+
+        let report = dev.stage_update(&drawn_batch(&ops)).unwrap();
+        let issue = dev.elapsed();
+        prop_assert_eq!(report.gc, GcReport::default(), "the draw must not trigger GC");
+        prop_assert_eq!(report.parity.page_reads, 0, "2-die stripes are always full");
+
+        // The batch's data pages: every LPN whose mapping it changed.
+        let dies = geometry.dies_per_channel;
+        prop_assert_eq!(dies, 2);
+        let mut data = vec![0u64; geometry.total_dies()];
+        for (before, after) in mapped_before.iter().zip(mapping(&dev)) {
+            if let Some(page) = after.filter(|&a| Some(a) != *before) {
+                data[page.flat_die(&geometry)] += 1;
+            }
+        }
+        prop_assert_eq!(data.iter().sum::<u64>(), report.pages_programmed);
+        prop_assert_eq!(report.parity.parity_programs, report.pages_programmed);
+
+        let busy = dev.device().flash().die_busy_ns();
+        let mut bound = 0;
+        for channel in 0..geometry.channels {
+            let die = |d: usize| channel * dies + d;
+            // Each data page and its parity cross this channel's bus.
+            let transfers = 2 * (data[die(0)] + data[die(1)]);
+            for d in 0..dies {
+                let programs = data[die(d)] + data[die(1 - d)];
+                prop_assert_eq!(
+                    busy[die(d)] - busy_before[die(d)],
+                    programs * timing.program_latency_ns,
+                    "channel {} die {}: data {:?}", channel, d, data
+                );
+                bound = bound.max(
+                    programs * timing.program_latency_ns
+                        + transfers * timing.page_transfer_ns(geometry.page_bytes),
+                );
+            }
+        }
+        let took = report.staged_at.as_ns() - issue.as_ns();
+        prop_assert!(took <= bound, "staged {} ns after issue, bound {} ns", took, bound);
+    }
 }

@@ -13,8 +13,8 @@
 //!   scale, bitwise identical to a full rebuild) or `InPlace` (deployed
 //!   scale kept; a sticky drift detector forces a full shard
 //!   re-quantization once the grid degrades past a bound).
-//! - [`ParityRefreshModel`] — RAID-5 read-modify-write accounting for the
-//!   stripes an update touches.
+//! - [`ParityRefreshModel`] — the RAID-5 read-modify-write of the stripes
+//!   an update touches, at the physical addresses it reads and programs.
 //! - [`UpdateReport`] — flash-operation and simulated-time accounting of
 //!   an applied batch.
 //!
@@ -30,7 +30,7 @@ mod policy;
 mod report;
 
 pub use batch::{UpdateBatch, UpdateOp};
-pub use parity::{ParityRefreshCost, ParityRefreshModel};
+pub use parity::{ParityRefreshCost, ParityRefreshModel, StripeRefresh};
 pub use policy::{RequantPolicy, ScaleDriftDetector, UpdatePolicy};
 pub use report::UpdateReport;
 
