@@ -23,8 +23,8 @@
 //! buffering — serialization comes from its bus and engine timelines).
 
 use ecssd_core::{
-    run_tile_loop, ComputeEngine, EcssdConfig, RowSelection, SchedulePlan, TaskKind, TilePhase,
-    TileTask,
+    classify_flops, int4_screen_ops, run_tile_loop, ComputeEngine, EcssdConfig, RowSelection,
+    SchedulePlan, TaskKind, TilePhase, TileTask,
 };
 use ecssd_ssd::{FlashSim, PhysPageAddr, SimTime, SsdError};
 use ecssd_workloads::CandidateSource;
@@ -165,7 +165,7 @@ impl TileTask for GenStoreMachine {
                 }
                 let select_done = self
                     .int4
-                    .compute(2 * k * tile_len as u64 * batch, fetch_done);
+                    .compute(int4_screen_ops(k, tile_len as u64, batch), fetch_done);
                 RowSelection {
                     select_done,
                     rows: self.source.candidates(query, tile),
@@ -208,7 +208,7 @@ impl TileTask for GenStoreMachine {
                 .flash
                 .read_batch_checked(addrs, screen_done, screen_done);
             let row_count = addrs.len() as u64 / pages_per_row;
-            let flops = 2 * d * row_count * batch;
+            let flops = classify_flops(d, row_count * batch);
             done = done.max(self.fp_engines[ch].compute(flops, fetch.done));
         }
         Ok(TilePhase {

@@ -3,13 +3,15 @@
 //! [`Ecssd`] is a *functional* emulator: it executes the real approximate
 //! screening math (projection, INT4 screening, threshold filtering, CFP32
 //! candidate-only classification) against weights physically placed through
-//! the FTL, and charges simulated time for every transfer it performs. It
-//! is the integration point the examples drive end-to-end; the
-//! cycle-approximate throughput studies use [`crate::EcssdMachine`].
+//! the FTL, and charges simulated time for every transfer and every compute
+//! stage it performs, through the accelerator stage charges
+//! [`crate::EcssdMachine`] makes too. It is the integration point the
+//! examples drive end-to-end; the cycle-approximate throughput studies use
+//! [`crate::EcssdMachine`].
 
 use std::ops::Range;
 
-use ecssd_float::{Cfp32Vector, FloatError};
+use ecssd_float::{Cfp32Vector, FloatError, MacCircuit};
 use ecssd_screen::{
     classify_image, DenseMatrix, Prediction, Projector, RowImage, Score, ScreenError, Screener,
     ThresholdPolicy,
@@ -17,6 +19,7 @@ use ecssd_screen::{
 use ecssd_ssd::{HotRowCache, SimTime, SsdDevice, SsdError};
 use ecssd_update::{UpdateError, UpdateReport};
 
+use crate::accelerator::{upload_features, Accelerator};
 use crate::delta::RowDelta;
 use crate::recovery::EpochUndo;
 use crate::rows::{CandidateUnion, RowStore};
@@ -249,6 +252,8 @@ pub(crate) struct InputQueue {
     pub(crate) features: Vec<Vec<f32>>,
     /// Screening candidates per queued input, filled by `int4_screen`.
     pub(crate) candidates: Vec<Vec<usize>>,
+    /// When the last queued input's features reached the device.
+    pub(crate) uploaded: SimTime,
 }
 
 /// The ECSSD device handle (Table 1 API).
@@ -259,6 +264,9 @@ pub(crate) struct InputQueue {
 pub struct Ecssd {
     pub(crate) mode: EcssdMode,
     pub(crate) device: SsdDevice,
+    /// The INT4 and CFP32 engines and the comparator beside the data
+    /// buffer, at the ECSSD design point (alignment-free MACs).
+    pub(crate) accel: Accelerator,
     pub(crate) clock: SimTime,
     /// The deployed rows as the device stores them: pre-aligned CFP32
     /// rows beside their projections. There is no FP32 copy.
@@ -309,9 +317,14 @@ impl Ecssd {
     /// Powers on a device in SSD mode.
     pub fn new(config: EcssdConfig) -> Self {
         let hot_cache = HotRowCache::new(config.ssd.hot_cache_bytes);
+        let accel = config.accelerator;
         Ecssd {
             mode: EcssdMode::Ssd,
             device: SsdDevice::new(config.ssd),
+            accel: Accelerator::new(
+                accel.int4_gops(),
+                accel.fp32_gflops(MacCircuit::AlignmentFree),
+            ),
             clock: SimTime::ZERO,
             image: None,
             screener: None,
@@ -369,10 +382,12 @@ impl Ecssd {
     }
 
     /// Installs a span-trace handle into the device's timed resources
-    /// (flash array, DRAM interface, host link). Spans land in the handle's
-    /// shared sink; see the `ecssd-trace` crate for attribution and export.
+    /// (flash array, DRAM interface, host link, INT4 and CFP32 engines,
+    /// comparator). Spans land in the handle's shared sink; see the
+    /// `ecssd-trace` crate for attribution and export.
     pub fn set_tracer(&mut self, tracer: ecssd_trace::Tracer) {
-        self.device.set_tracer(tracer);
+        self.device.set_tracer(tracer.clone());
+        self.accel.set_tracer(tracer);
     }
 
     pub(crate) fn require_accelerator(&self) -> Result<(), EcssdError> {
@@ -537,23 +552,31 @@ impl Ecssd {
     /// (the feature's index) for an input CFP32 cannot carry, before any
     /// transfer is charged.
     pub fn input_send(&mut self, features: &[f32]) -> Result<(), EcssdError> {
+        self.upload(&[features])
+    }
+
+    /// Checks `inputs` as one batch, then queues them and charges their
+    /// upload as one host transfer at the clock. Checking is eager;
+    /// `int4_screen` projects the inputs.
+    fn upload<X: AsRef<[f32]>>(&mut self, inputs: &[X]) -> Result<(), EcssdError> {
         self.require_accelerator()?;
         let screener = self.screener.as_ref().ok_or(EcssdError::NoWeights)?;
-        // Validate eagerly; `int4_screen` projects the input.
-        check_features(screener.input_dim(), &[features])?;
-        let d = features.len() as u64;
+        check_features(screener.input_dim(), inputs)?;
+        let d = screener.input_dim() as u64;
         let k = screener.projected_dim() as u64;
-        self.clock = self
-            .device
-            .host_mut()
-            .transfer(4 * d + 1 + k.div_ceil(2), self.clock);
-        self.queue.features.push(features.to_vec());
+        let n = inputs.len() as u64;
+        self.clock = upload_features(self.device.host_mut(), n, d, k, self.clock);
+        self.queue.uploaded = self.clock;
+        self.queue
+            .features
+            .extend(inputs.iter().map(|x| x.as_ref().to_vec()));
         Ok(())
     }
 
     /// `INT4_screen()`: run low-precision screening + threshold filtering
     /// for the queued batch in one pass ([`Screener::screen_batch`]),
-    /// charging one DRAM stream of the INT4 weights for the whole batch.
+    /// charging one DRAM stream of the INT4 weights for the whole batch,
+    /// then the batch's INT4 MACs and the comparator's selection.
     ///
     /// # Errors
     ///
@@ -569,12 +592,19 @@ impl Ecssd {
         self.queue.candidates.clear();
         self.queue.candidates = screener.screen_batch(&self.queue.features, self.threshold)?;
         let int4_bytes = screener.weights4().storage_bytes() as u64;
-        self.clock = self.device.dram_mut().transfer(int4_bytes, self.clock);
+        let streamed = self.device.dram_mut().transfer(int4_bytes, self.clock);
+        self.clock = self.accel.screen(
+            screener.projected_dim() as u64,
+            screener.categories() as u64,
+            self.queue.features.len() as u64,
+            streamed,
+        );
         Ok(())
     }
 
     /// `CFP32_classify()`: fetch the batch's candidate rows and run CFP32
-    /// candidate-only classification, keeping the top `k` per input.
+    /// candidate-only classification, keeping the top `k` per input. The
+    /// MACs are charged once the rows are fetched and the inputs uploaded.
     ///
     /// The queued batch is scored by [`classify_image`] against the stored
     /// pre-aligned rows: each input is pre-aligned once, and each
@@ -605,6 +635,8 @@ impl Ecssd {
         // Function first, so a failure charges nothing: CFP32
         // candidate-only classification of the whole batch.
         let top_k = classify_image(image, &self.queue.features, &self.queue.candidates, k)?;
+        let d = image.cols() as u64;
+        let pairs = self.queue.candidates.iter().map(Vec::len).sum::<usize>() as u64;
         for &c in self.queue.candidates.iter().flatten() {
             if let Some(count) = self.row_accesses.get_mut(c) {
                 *count += 1;
@@ -618,7 +650,7 @@ impl Ecssd {
             self.clock,
         );
         self.union.clear();
-        self.clock = fetched?;
+        self.clock = self.accel.classify(d, pairs, fetched?, self.queue.uploaded);
         self.results = std::mem::take(&mut self.queue.candidates)
             .into_iter()
             .zip(top_k)
@@ -657,7 +689,8 @@ impl Ecssd {
     /// exceeds the deployed category count, and propagates screening/SSD
     /// errors. Every input is checked as [`Self::input_send`] checks it
     /// before anything is queued or charged, so a malformed batch leaves the
-    /// clock, the cache and the flash untouched. A later error, a flash
+    /// clock, the cache and the flash untouched; the checked batch then
+    /// uploads in one host transfer. A later error, a flash
     /// fault in the candidate fetch, fails the whole batch: none of its rows
     /// is cached, the clock returns to where the batch found it (the
     /// resources the batch occupied stay busy), and the input queue is
@@ -675,14 +708,9 @@ impl Ecssd {
         if k > categories {
             return Err(EcssdError::KExceedsCategories { k, categories });
         }
-        let screener = self.screener.as_ref().ok_or(EcssdError::NoWeights)?;
-        check_features(screener.input_dim(), inputs)?;
         let clock = self.clock;
-        let attempt = inputs
-            .iter()
-            .try_for_each(|x| self.input_send(x))
-            .and_then(|()| self.int4_screen())
-            .and_then(|()| self.cfp32_classify(k));
+        self.upload(inputs)?;
+        let attempt = self.int4_screen().and_then(|()| self.cfp32_classify(k));
         if let Err(e) = attempt {
             self.clock = clock;
             self.queue.features.clear();

@@ -46,6 +46,8 @@ mod api;
 mod classifier;
 mod config;
 mod delta;
+#[cfg(test)]
+mod device_law;
 mod energy;
 mod host;
 mod integration;
@@ -58,7 +60,7 @@ mod rows;
 pub mod scale;
 mod update;
 
-pub use accelerator::ComputeEngine;
+pub use accelerator::{classify_flops, int4_screen_ops, ComputeEngine};
 pub use api::{Ecssd, EcssdError, EcssdMode};
 pub use classifier::{merge_shard_topk, sort_scores, split_batches, Classifier, ClassifierStats};
 pub use config::{AcceleratorConfig, ConfigError, EcssdConfig, EcssdConfigBuilder};

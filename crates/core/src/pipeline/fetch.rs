@@ -13,14 +13,11 @@
 
 use ecssd_layout::{InterleavingStrategy, TileLayout};
 use ecssd_ssd::{PhysPageAddr, RowPath, RowReadScratch, SimTime, SsdError};
-use ecssd_trace::Stage;
 
 use super::degrade::{self, TileFaultCtx};
 use super::schedule::{RowSelection, TaskKind, TilePhase, TileTask};
 use super::{DataPlacement, EcssdMachine, TileTiming};
-
-/// Fixed scheduler/comparator latency charged per tile, ns.
-pub(super) const TILE_CONTROL_NS: u64 = 200;
+use crate::accelerator::upload_features;
 
 /// One query window of an [`EcssdMachine`], viewed as the classification
 /// [`TileTask`]. Holds the per-query admission time the FP32 stage gates
@@ -49,14 +46,11 @@ impl TileTask for EcssdTileRun<'_> {
     }
 
     fn begin_query(&mut self, _query: usize, issue: SimTime) -> SimTime {
-        // Host sends the batch's CFP32 features (4 bytes + shared
-        // exponent per vector) and INT4 projected features.
         let bench = *self.machine.source.benchmark();
         let batch = self.machine.config.accelerator.batch as u64;
         let k = bench.projected_dim() as u64;
         let d = bench.hidden as u64;
-        let feature_bytes = batch * (4 * d + 1) + batch * k.div_ceil(2);
-        self.host_done = self.machine.host.transfer(feature_bytes, issue);
+        self.host_done = upload_features(&mut self.machine.host, batch, d, k, issue);
         self.host_done
     }
 
@@ -125,11 +119,9 @@ impl EcssdMachine {
                 }
             }
         };
-        let int4_ops = 2 * k * tile_len as u64 * batch;
-        let int4_done = self.int4.compute(int4_ops, int4_fetch_done);
-        let screen_done = int4_done + TILE_CONTROL_NS;
-        self.tracer
-            .span(Stage::CandidateSelect, int4_done, screen_done);
+        let screen_done = self
+            .accel
+            .screen(k, tile_len as u64, batch, int4_fetch_done);
         let candidates = self.source.candidates(query, tile);
         self.tracer
             .count("pipeline.candidate_rows", candidates.len() as u64);
@@ -254,9 +246,10 @@ impl EcssdMachine {
         let batch = self.config.accelerator.batch as u64;
         let d = bench.hidden as u64;
         let delivered = self.account_delivered_rows(cands);
-        let flops = 2 * d * delivered * batch;
-        let fp_issue = fetch_done.max(host_done);
-        let fp_done = self.fp32.compute(flops, fp_issue);
+        // A tile's delivered rows are every input's candidates.
+        let fp_done = self
+            .accel
+            .classify(d, delivered * batch, fetch_done, host_done);
         self.buffer.release(fp_done);
 
         if let Some(timings) = &mut self.tile_timings {

@@ -13,9 +13,7 @@
 //! accumulate instead of a candidate-only GEMV.
 
 use ecssd_ssd::{SimTime, SsdError};
-use ecssd_trace::Stage;
 
-use super::fetch::TILE_CONTROL_NS;
 use super::schedule::{RowSelection, TaskKind, TilePhase, TileTask};
 use super::{EcssdMachine, TileTiming};
 
@@ -92,9 +90,7 @@ impl EcssdMachine {
         let ids_done = self
             .host
             .transfer(rows.len() as u64 * LOOKUP_ID_BYTES, issue);
-        let select_done = ids_done + TILE_CONTROL_NS;
-        self.tracer
-            .span(Stage::CandidateSelect, ids_done, select_done);
+        let select_done = self.accel.select(ids_done);
         self.tracer.count("pipeline.gather_rows", rows.len() as u64);
         RowSelection { select_done, rows }
     }
@@ -117,9 +113,7 @@ impl EcssdMachine {
         let batch = self.config.accelerator.batch as u64;
         let d = bench.hidden as u64;
         let delivered = self.account_delivered_rows(rows);
-        let flops = d * delivered;
-        let fp_issue = fetch_done.max(host_done);
-        let fp_done = self.fp32.compute(flops, fp_issue);
+        let fp_done = self.accel.pool(d, delivered, fetch_done, host_done);
         self.buffer.release(fp_done);
 
         if let Some(timings) = &mut self.tile_timings {

@@ -35,10 +35,11 @@ use ecssd_layout::{InterleavingStrategy, TileLayout};
 use ecssd_ssd::{
     Dram, FaultPlan, FlashSim, HealthReport, HostInterface, HotRowCache, PingPongBuffer, SsdError,
 };
-use ecssd_trace::{Stage, Tracer};
+use ecssd_trace::Tracer;
 use ecssd_workloads::CandidateSource;
 
-use crate::{ComputeEngine, EcssdConfig};
+use crate::accelerator::Accelerator;
+use crate::EcssdConfig;
 
 mod degrade;
 mod fetch;
@@ -168,8 +169,8 @@ pub struct EcssdMachine {
     hot_cache: HotRowCache,
     host: HostInterface,
     buffer: PingPongBuffer,
-    int4: ComputeEngine,
-    fp32: ComputeEngine,
+    /// The INT4 and FP32 engines and the comparator.
+    accel: Accelerator,
     /// Cached per-tile layouts (keyed by tile index).
     layouts: std::collections::HashMap<usize, TileLayout>,
     /// FP32-only traffic accounting (bus busy ns, bytes) per channel.
@@ -236,8 +237,7 @@ impl EcssdMachine {
         let accel = config.accelerator;
         Ok(EcssdMachine {
             buffer: PingPongBuffer::new(config.ssd.buffer_bytes),
-            int4: ComputeEngine::new(accel.int4_gops()),
-            fp32: ComputeEngine::new(accel.fp32_gflops(variant.mac)),
+            accel: Accelerator::new(accel.int4_gops(), accel.fp32_gflops(variant.mac)),
             flash,
             dram,
             hot_cache,
@@ -275,8 +275,7 @@ impl EcssdMachine {
         self.flash.set_tracer(tracer.clone());
         self.dram.set_tracer(tracer.clone());
         self.host.set_tracer(tracer.clone());
-        self.int4.set_tracer(tracer.clone(), Stage::Int4Screen);
-        self.fp32.set_tracer(tracer.clone(), Stage::Fp32Mac);
+        self.accel.set_tracer(tracer.clone());
         self.tracer = tracer;
     }
 
@@ -431,6 +430,7 @@ impl EcssdMachine {
 mod tests {
     use super::*;
     use ecssd_ssd::CacheStats;
+    use ecssd_trace::Stage;
     use ecssd_workloads::{Benchmark, SampledWorkload, TraceConfig};
 
     fn machine(variant: MachineVariant, bench: &str) -> EcssdMachine {

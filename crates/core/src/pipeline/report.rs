@@ -136,8 +136,8 @@ pub(crate) fn assemble(
         fp_channel_utilization: total_fp_busy as f64
             / (makespan.as_ns().max(1) as f64 * channels as f64),
         fp_channel_bytes: m.fp_bytes.clone(),
-        int4_busy_ns: m.int4.busy_ns(),
-        fp32_busy_ns: m.fp32.busy_ns(),
+        int4_busy_ns: m.accel.int4.busy_ns(),
+        fp32_busy_ns: m.accel.fp32.busy_ns(),
         dram_busy_ns: m.dram.busy_ns(),
         buffer_stall_ns: m.buffer.stall_ns(),
         health: m.health_report(),

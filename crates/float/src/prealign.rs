@@ -24,19 +24,9 @@ impl PreAlignCostModel {
         }
     }
 
-    /// Model with an explicit per-element cost in nanoseconds.
-    pub fn with_ns_per_element(ns_per_element: f64) -> Self {
-        PreAlignCostModel { ns_per_element }
-    }
-
     /// Time to pre-align `elements` FP32 values, in nanoseconds.
     pub fn cost_ns(&self, elements: usize) -> f64 {
         self.ns_per_element * elements as f64
-    }
-
-    /// Time to pre-align a batch of `batch` vectors of `dim` elements, ns.
-    pub fn batch_cost_ns(&self, batch: usize, dim: usize) -> f64 {
-        self.cost_ns(batch * dim)
     }
 }
 
@@ -55,17 +45,5 @@ mod tests {
         let m = PreAlignCostModel::paper_default();
         // 1x1024 vector -> 0.005 ms = 5000 ns.
         assert!((m.cost_ns(1024) - 5_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scales_linearly_with_batch() {
-        let m = PreAlignCostModel::paper_default();
-        assert_eq!(m.batch_cost_ns(8, 1024), 8.0 * m.cost_ns(1024));
-    }
-
-    #[test]
-    fn custom_rate() {
-        let m = PreAlignCostModel::with_ns_per_element(2.0);
-        assert_eq!(m.cost_ns(10), 20.0);
     }
 }

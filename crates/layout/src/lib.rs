@@ -37,7 +37,7 @@ mod strategy;
 
 pub use deploy::DeploymentPlanner;
 pub use grade::{grade_rows, GradeConfig, HotGrade};
-pub use metrics::{channel_loads, TileBalance};
+pub use metrics::channel_loads;
 pub use parity::ParityScheme;
 pub use shard::ShardMap;
 pub use strategy::{InterleavingStrategy, LearnedConfig, RowAccessProfile, TileLayout};

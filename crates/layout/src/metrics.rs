@@ -1,6 +1,5 @@
-//! Balance metrics over candidate accesses — the quantities behind Fig. 11
-//! (per-channel access counts of one tile) and the utilization rows of
-//! Fig. 8 / Fig. 12.
+//! Per-channel candidate access counts of one tile — the quantity behind
+//! Fig. 11.
 
 use crate::TileLayout;
 
@@ -19,44 +18,6 @@ pub fn channel_loads(layout: &TileLayout, candidates: &[usize]) -> Vec<u64> {
     loads
 }
 
-/// Balance summary of a tile access.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TileBalance {
-    /// Candidates on the busiest channel.
-    pub max: u64,
-    /// Mean candidates per channel.
-    pub mean: f64,
-    /// Total candidates.
-    pub total: u64,
-}
-
-impl TileBalance {
-    /// Summarizes per-channel loads.
-    pub fn from_loads(loads: &[u64]) -> Self {
-        let total: u64 = loads.iter().sum();
-        TileBalance {
-            max: loads.iter().copied().max().unwrap_or(0),
-            mean: if loads.is_empty() {
-                0.0
-            } else {
-                total as f64 / loads.len() as f64
-            },
-            total,
-        }
-    }
-
-    /// `mean / max`: the fraction of the tile's access window during which
-    /// an average channel is busy — the per-tile channel bandwidth
-    /// utilization bound (§5.2).
-    pub fn balance(&self) -> f64 {
-        if self.max == 0 {
-            1.0
-        } else {
-            self.mean / self.max as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,25 +27,5 @@ mod tests {
         let layout = TileLayout::from_assignment(vec![0, 1, 0, 2, 1, 0], 4);
         let loads = channel_loads(&layout, &[0, 1, 2, 5]);
         assert_eq!(loads, vec![3, 1, 0, 0]);
-    }
-
-    #[test]
-    fn balance_of_even_loads_is_one() {
-        let b = TileBalance::from_loads(&[5, 5, 5, 5]);
-        assert_eq!(b.balance(), 1.0);
-        assert_eq!(b.total, 20);
-    }
-
-    #[test]
-    fn balance_of_skewed_loads() {
-        let b = TileBalance::from_loads(&[8, 0, 0, 0]);
-        assert!((b.balance() - 0.25).abs() < 1e-12);
-        assert_eq!(b.max, 8);
-    }
-
-    #[test]
-    fn empty_loads_are_balanced() {
-        let b = TileBalance::from_loads(&[]);
-        assert_eq!(b.balance(), 1.0);
     }
 }

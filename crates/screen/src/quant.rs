@@ -126,15 +126,6 @@ impl Int4Vector {
         Ok(dot_i32(&self.codes, &other.codes))
     }
 
-    /// Approximate real-valued dot product with another INT4 vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScreenError::DimensionMismatch`] on length mismatch.
-    pub fn dot_f32(&self, other: &Int4Vector) -> Result<f32, ScreenError> {
-        Ok(self.dot(other)? as f32 * self.scale * other.scale)
-    }
-
     /// Storage footprint in bytes: two codes per byte (4-bit packing) plus
     /// the 4-byte scale.
     pub fn storage_bytes(&self) -> usize {
@@ -493,9 +484,6 @@ mod tests {
         let b = Int4Vector::quantize(&[1.0, 1.0, 1.0]).unwrap();
         // codes a = [7, -7, 3]: 0.5/(1/7) = 3.4999998 in f32, rounds to 3.
         assert_eq!(a.dot(&b).unwrap(), (3 * 7));
-        let approx = a.dot_f32(&b).unwrap();
-        let exact = 1.0 - 1.0 + 0.5;
-        assert!((approx - exact).abs() < 0.2, "{approx} vs {exact}");
     }
 
     #[test]

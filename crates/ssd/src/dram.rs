@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use ecssd_trace::{Stage, Tracer};
+use ecssd_trace::{Stage, Timeline, Tracer};
 
 use crate::{Bandwidth, BatchRead, CacheStats, FlashSim, PhysPageAddr, SimTime, SsdError};
 
@@ -22,8 +22,7 @@ pub struct Dram {
     capacity_bytes: u64,
     bandwidth: Bandwidth,
     reserved_bytes: u64,
-    free_at: SimTime,
-    busy_ns: u64,
+    timeline: Timeline,
     bytes_moved: u64,
     tracer: Tracer,
 }
@@ -35,8 +34,7 @@ impl Dram {
             capacity_bytes,
             bandwidth,
             reserved_bytes: 0,
-            free_at: SimTime::ZERO,
-            busy_ns: 0,
+            timeline: Timeline::default(),
             bytes_moved: 0,
             tracer: Tracer::disabled(),
         }
@@ -114,11 +112,9 @@ impl Dram {
         if bytes == 0 {
             return issue;
         }
-        let start = issue.max(self.free_at);
-        let dur = self.bandwidth.transfer_ns(bytes);
-        let done = start + dur;
-        self.free_at = done;
-        self.busy_ns += dur;
+        let (start, done) = self
+            .timeline
+            .occupy(issue, self.bandwidth.transfer_ns(bytes));
         self.bytes_moved += bytes;
         self.tracer.span(Stage::DramTransfer, start, done);
         done
@@ -126,7 +122,7 @@ impl Dram {
 
     /// Accumulated interface busy time, ns.
     pub fn busy_ns(&self) -> u64 {
-        self.busy_ns
+        self.timeline.busy_ns()
     }
 
     /// Total bytes moved.
@@ -136,12 +132,12 @@ impl Dram {
 
     /// Earliest time the interface is free.
     pub fn free_at(&self) -> SimTime {
-        self.free_at
+        self.timeline.free_at()
     }
 
     /// Clears traffic statistics (capacity reservations are preserved).
     pub fn reset_stats(&mut self) {
-        self.busy_ns = 0;
+        self.timeline.reset_busy();
         self.bytes_moved = 0;
     }
 }

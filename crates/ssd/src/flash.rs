@@ -15,7 +15,7 @@
 //! senses as an MQSim-style transaction scheduler does: the `r`-th page
 //! queued on each of its planes shares its `r`-th sense.
 
-use ecssd_trace::{Span, Stage, Tracer};
+use ecssd_trace::{Span, Stage, Timeline, Tracer};
 
 use crate::fault::{FaultDecision, FaultInjector, FaultPlan};
 use crate::stats::{ChannelStats, HealthReport};
@@ -315,14 +315,10 @@ impl BatchScratch {
 pub struct FlashSim {
     geometry: SsdGeometry,
     timing: FlashTiming,
-    /// Per-die next-free time, indexed by flat die id.
-    die_free: Vec<SimTime>,
-    /// Per-channel bus next-free time.
-    bus_free: Vec<SimTime>,
-    /// Per-die accumulated array-busy nanoseconds.
-    die_busy_ns: Vec<u64>,
-    /// Per-channel accumulated bus-busy nanoseconds.
-    bus_busy_ns: Vec<u64>,
+    /// Per-die array timelines, indexed by flat die id.
+    dies: Vec<Timeline>,
+    /// Per-channel bus timelines.
+    buses: Vec<Timeline>,
     /// Per-channel bytes moved over the bus.
     bus_bytes: Vec<u64>,
     /// Per-channel page transfers.
@@ -356,10 +352,8 @@ impl FlashSim {
     /// Creates an idle flash array.
     pub fn new(geometry: SsdGeometry, timing: FlashTiming) -> Self {
         FlashSim {
-            die_free: vec![SimTime::ZERO; geometry.total_dies()],
-            bus_free: vec![SimTime::ZERO; geometry.channels],
-            die_busy_ns: vec![0; geometry.total_dies()],
-            bus_busy_ns: vec![0; geometry.channels],
+            dies: vec![Timeline::default(); geometry.total_dies()],
+            buses: vec![Timeline::default(); geometry.channels],
             bus_bytes: vec![0; geometry.channels],
             bus_transfers: vec![0; geometry.channels],
             read_retries: vec![0; geometry.channels],
@@ -794,10 +788,7 @@ impl FlashSim {
     /// when it frees up), recording a [`Stage::FlashRead`] span; returns
     /// when it finishes.
     fn occupy_die(&mut self, die: usize, addr: PhysPageAddr, issue: SimTime, ns: u64) -> SimTime {
-        let start = issue.max(self.die_free[die]);
-        let done = start + ns;
-        self.die_free[die] = done;
-        self.die_busy_ns[die] += ns;
+        let (start, done) = self.dies[die].occupy(issue, ns);
         self.die_span(Stage::FlashRead, addr, start, done);
         done
     }
@@ -812,10 +803,8 @@ impl FlashSim {
         self.assert_addr(addr);
         let grant = self.transfer(addr.channel, issue, self.geometry.page_bytes as u64);
         let die = addr.flat_die(&self.geometry);
-        let prog_start = grant.done.max(self.die_free[die]);
-        let prog_done = prog_start + self.timing.program_latency_ns;
-        self.die_free[die] = prog_done;
-        self.die_busy_ns[die] += self.timing.program_latency_ns;
+        let (prog_start, prog_done) =
+            self.dies[die].occupy(grant.done, self.timing.program_latency_ns);
         self.die_span(Stage::FlashProgram, addr, prog_start, prog_done);
         prog_done
     }
@@ -828,11 +817,7 @@ impl FlashSim {
     pub fn erase_block(&mut self, addr: PhysPageAddr, issue: SimTime) -> SimTime {
         self.assert_addr(addr);
         let die = addr.flat_die(&self.geometry);
-        let start = issue.max(self.die_free[die]);
-        let done = start + self.timing.erase_latency_ns;
-        self.die_free[die] = done;
-        self.die_busy_ns[die] += self.timing.erase_latency_ns;
-        done
+        self.dies[die].occupy(issue, self.timing.erase_latency_ns).1
     }
 
     /// Occupies a channel bus with a raw transfer of `bytes` (used to model
@@ -857,15 +842,12 @@ impl FlashSim {
     /// is `ready`: the one bus path every page read, program and raw
     /// stream takes, recorded as a [`Stage::FlashBus`] span.
     fn transfer(&mut self, channel: usize, ready: SimTime, bytes: u64) -> BusGrant {
-        let start = ready.max(self.bus_free[channel]);
         let dur = if bytes == self.geometry.page_bytes as u64 {
             self.page_ns[channel]
         } else {
             self.transfer_ns(channel, bytes)
         };
-        let done = start + dur;
-        self.bus_free[channel] = done;
-        self.bus_busy_ns[channel] += dur;
+        let (start, done) = self.buses[channel].occupy(ready, dur);
         self.bus_bytes[channel] += bytes;
         self.bus_transfers[channel] += 1;
         self.tracer
@@ -876,22 +858,22 @@ impl FlashSim {
     /// Snapshot of per-channel traffic statistics.
     pub fn channel_stats(&self) -> ChannelStats {
         ChannelStats::new(
-            self.bus_busy_ns.clone(),
+            self.buses.iter().map(Timeline::busy_ns).collect(),
             self.bus_bytes.clone(),
             self.bus_transfers.clone(),
             self.read_retries.clone(),
         )
     }
 
-    /// Per-die accumulated busy time, ns.
-    pub fn die_busy_ns(&self) -> &[u64] {
-        &self.die_busy_ns
+    /// Per-die accumulated busy time, ns, indexed by flat die id.
+    pub fn die_busy_ns(&self) -> Vec<u64> {
+        self.dies.iter().map(Timeline::busy_ns).collect()
     }
 
     /// Clears traffic statistics (timelines are preserved).
     pub fn reset_stats(&mut self) {
-        self.die_busy_ns.iter_mut().for_each(|v| *v = 0);
-        self.bus_busy_ns.iter_mut().for_each(|v| *v = 0);
+        self.dies.iter_mut().for_each(Timeline::reset_busy);
+        self.buses.iter_mut().for_each(Timeline::reset_busy);
         self.bus_bytes.iter_mut().for_each(|v| *v = 0);
         self.bus_transfers.iter_mut().for_each(|v| *v = 0);
         self.read_retries.iter_mut().for_each(|v| *v = 0);

@@ -1,7 +1,7 @@
 //! The host interface: a PCIe link model (§2.2: "for PCIe 3.0, the I/O
 //! bandwidth is only 1 GB/s in each lane"; Table 2: PCIe 3.0 ×4).
 
-use ecssd_trace::{Stage, Tracer};
+use ecssd_trace::{Stage, Timeline, Tracer};
 
 use crate::{Bandwidth, SimTime};
 
@@ -10,8 +10,7 @@ use crate::{Bandwidth, SimTime};
 pub struct HostInterface {
     bandwidth: Bandwidth,
     latency_ns: u64,
-    free_at: SimTime,
-    busy_ns: u64,
+    timeline: Timeline,
     bytes_moved: u64,
     tracer: Tracer,
 }
@@ -22,8 +21,7 @@ impl HostInterface {
         HostInterface {
             bandwidth,
             latency_ns,
-            free_at: SimTime::ZERO,
-            busy_ns: 0,
+            timeline: Timeline::default(),
             bytes_moved: 0,
             tracer: Tracer::disabled(),
         }
@@ -51,11 +49,8 @@ impl HostInterface {
         if bytes == 0 {
             return issue;
         }
-        let start = issue.max(self.free_at);
         let dur = self.latency_ns + self.bandwidth.transfer_ns(bytes);
-        let done = start + dur;
-        self.free_at = done;
-        self.busy_ns += dur;
+        let (start, done) = self.timeline.occupy(issue, dur);
         self.bytes_moved += bytes;
         self.tracer.span(Stage::HostLink, start, done);
         done
@@ -63,7 +58,7 @@ impl HostInterface {
 
     /// Accumulated link busy time, ns.
     pub fn busy_ns(&self) -> u64 {
-        self.busy_ns
+        self.timeline.busy_ns()
     }
 
     /// Total bytes moved over the link.

@@ -284,20 +284,6 @@ impl MetadataJournal {
         self.durable.len() as u64
     }
 
-    /// The last durably committed epoch: the newest
-    /// [`JournalRecord::EpochCommit`] in the durable log, or the
-    /// checkpoint's epoch when none is.
-    pub fn durable_epoch(&self) -> u64 {
-        self.durable
-            .iter()
-            .rev()
-            .find_map(|r| match r {
-                JournalRecord::EpochCommit { epoch, .. } => Some(*epoch),
-                _ => None,
-            })
-            .unwrap_or(self.checkpoint.epoch)
-    }
-
     /// Epoch of the last checkpoint. Crash instants clamp to the
     /// checkpoint and replay starts there, so no recovery can reach an
     /// older epoch.
@@ -764,7 +750,6 @@ mod tests {
             j.append(JournalRecord::EpochCommit { epoch, rows: 1 });
             j.flush(&ftl, &mut flash, SimTime::ZERO);
         }
-        assert_eq!(j.durable_epoch(), 3);
         let r = j.replay(Some(2)).unwrap();
         assert_eq!(r.epoch, 2);
         assert_eq!(r.placements, vec![(0, 12, 1)]);

@@ -5,8 +5,9 @@
 //! compute hidden under transfers). This crate provides the lens those
 //! claims need:
 //!
-//! * **Time primitives** ([`SimTime`], [`Bandwidth`]) — the nanosecond
-//!   clock shared by every simulator crate (re-exported by `ecssd-ssd` for
+//! * **Time primitives** ([`SimTime`], [`Bandwidth`], [`Timeline`]) — the
+//!   nanosecond clock and the one serialized-resource timeline shared by
+//!   every simulator crate (re-exported by `ecssd-ssd` for
 //!   compatibility; this crate is the root of the dependency graph so the
 //!   device model itself can emit spans).
 //! * **Spans and counters** ([`Span`], [`Stage`], [`Tracer`]) — each
@@ -50,4 +51,4 @@ pub use chrome::chrome_trace_json;
 pub use percentile::{percentile_ns, percentile_us};
 pub use sink::{Tracer, DEFAULT_SPAN_CAP};
 pub use span::{Span, Stage};
-pub use time::{Bandwidth, SimTime};
+pub use time::{Bandwidth, SimTime, Timeline};

@@ -6,15 +6,31 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::{SimTime, Span, Stage};
 
-/// Default bound on the number of retained spans per sink.
+/// Default bound on the number of retained spans per shard.
 pub const DEFAULT_SPAN_CAP: usize = 1 << 20;
+
+/// One shard's (or the unsharded handles') spans, bounded by the sink's
+/// cap.
+#[derive(Debug, Default)]
+struct SpanBuffer {
+    spans: Vec<Span>,
+    dropped: u64,
+}
 
 #[derive(Debug)]
 struct SinkState {
-    spans: Mutex<Vec<Span>>,
+    /// Span buffers by shard label (`None` for unsharded handles). A
+    /// buffer is created by the first handle for its shard and shared by
+    /// that handle's clones.
+    buffers: Mutex<BTreeMap<Option<u32>, Arc<Mutex<SpanBuffer>>>>,
     counters: Mutex<BTreeMap<&'static str, u64>>,
     cap: usize,
-    dropped: Mutex<u64>,
+}
+
+impl SinkState {
+    fn buffer(&self, shard: Option<u32>) -> Arc<Mutex<SpanBuffer>> {
+        Arc::clone(locked(&self.buffers).entry(shard).or_default())
+    }
 }
 
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -33,15 +49,19 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// All clones of an enabled handle share one sink; snapshots can be taken
 /// from any clone.
 ///
-/// Spans are bounded by a capacity (default [`DEFAULT_SPAN_CAP`]); spans
-/// past the cap are counted in [`Tracer::dropped_spans`] instead of
-/// growing memory without bound. Shard handles may record from parallel
-/// host threads: [`Tracer::spans`] returns them in a fixed order anyway,
-/// but once the cap is reached, which spans were dropped depends on
+/// Spans are bounded by a capacity (default [`DEFAULT_SPAN_CAP`]) per
+/// shard: each [`Tracer::for_shard`] handle, and the unsharded handles
+/// together, keep their own buffer, and spans past its cap are counted in
+/// [`Tracer::dropped_spans`] instead of growing memory without bound. Shard
+/// handles may record from parallel host threads; since a shard's buffer
+/// sees only that shard's records, which spans are kept and which are
+/// dropped depends only on each shard's own recording order, never on
 /// thread timing.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     sink: Option<Arc<SinkState>>,
+    /// This handle's span buffer in the sink.
+    buffer: Option<Arc<Mutex<SpanBuffer>>>,
     shard: Option<u32>,
 }
 
@@ -56,15 +76,16 @@ impl Tracer {
         Tracer::with_capacity(DEFAULT_SPAN_CAP)
     }
 
-    /// An enabled handle retaining at most `cap` spans.
+    /// An enabled handle retaining at most `cap` spans per shard.
     pub fn with_capacity(cap: usize) -> Self {
+        let sink = Arc::new(SinkState {
+            buffers: Mutex::new(BTreeMap::new()),
+            counters: Mutex::new(BTreeMap::new()),
+            cap,
+        });
         Tracer {
-            sink: Some(Arc::new(SinkState {
-                spans: Mutex::new(Vec::new()),
-                counters: Mutex::new(BTreeMap::new()),
-                cap,
-                dropped: Mutex::new(0),
-            })),
+            buffer: Some(sink.buffer(None)),
+            sink: Some(sink),
             shard: None,
         }
     }
@@ -76,9 +97,11 @@ impl Tracer {
 
     /// A clone of this handle that stamps `shard` on every span it records
     /// (used by the serving engine to label each worker's device spans).
+    /// Every handle for one shard shares that shard's span buffer.
     pub fn for_shard(&self, shard: u32) -> Tracer {
         Tracer {
             sink: self.sink.clone(),
+            buffer: self.sink.as_ref().map(|sink| sink.buffer(Some(shard))),
             shard: Some(shard),
         }
     }
@@ -86,19 +109,20 @@ impl Tracer {
     /// Records a span. Zero-length spans (`end <= start`) are discarded.
     #[inline]
     pub fn record(&self, mut span: Span) {
-        let Some(sink) = &self.sink else { return };
+        let (Some(sink), Some(buffer)) = (&self.sink, &self.buffer) else {
+            return;
+        };
         if span.end <= span.start {
             return;
         }
         if span.shard.is_none() {
             span.shard = self.shard;
         }
-        let mut spans = locked(&sink.spans);
-        if spans.len() < sink.cap {
-            spans.push(span);
+        let mut buffer = locked(buffer);
+        if buffer.spans.len() < sink.cap {
+            buffer.spans.push(span);
         } else {
-            drop(spans);
-            *locked(&sink.dropped) += 1;
+            buffer.dropped += 1;
         }
     }
 
@@ -118,14 +142,17 @@ impl Tracer {
     }
 
     /// Snapshot of all recorded spans (empty if disabled): unsharded spans
-    /// first, then shard 0, 1, …, each group in its recording order. Shard
-    /// threads interleave their records in the shared sink, so grouping by
-    /// shard is what makes the snapshot identical run to run.
+    /// first, then shard 0, 1, …, each group in its recording order.
     pub fn spans(&self) -> Vec<Span> {
         let Some(sink) = &self.sink else {
             return Vec::new();
         };
-        let mut spans = locked(&sink.spans).clone();
+        let mut spans: Vec<Span> = Vec::new();
+        for buffer in locked(&sink.buffers).values() {
+            spans.extend_from_slice(&locked(buffer).spans);
+        }
+        // A span labeled with a shard by its recorder joins that shard's
+        // group.
         spans.sort_by_key(|s| s.shard);
         spans
     }
@@ -141,10 +168,14 @@ impl Tracer {
         }
     }
 
-    /// Spans recorded past the capacity bound and therefore discarded.
+    /// Spans recorded past a shard's capacity bound and therefore
+    /// discarded, over all shards.
     pub fn dropped_spans(&self) -> u64 {
         match &self.sink {
-            Some(sink) => *locked(&sink.dropped),
+            Some(sink) => locked(&sink.buffers)
+                .values()
+                .map(|buffer| locked(buffer).dropped)
+                .sum(),
             None => 0,
         }
     }
@@ -152,9 +183,10 @@ impl Tracer {
     /// Discards all recorded spans and counters, keeping the sink enabled.
     pub fn clear(&self) {
         if let Some(sink) = &self.sink {
-            locked(&sink.spans).clear();
+            for buffer in locked(&sink.buffers).values() {
+                *locked(buffer) = SpanBuffer::default();
+            }
             locked(&sink.counters).clear();
-            *locked(&sink.dropped) = 0;
         }
     }
 }
@@ -223,6 +255,39 @@ mod tests {
         let t = Tracer::enabled();
         t.span(Stage::HostLink, ns(7), ns(7));
         assert!(t.spans().is_empty());
+    }
+
+    #[test]
+    fn the_cap_drops_the_same_spans_whatever_the_thread_interleaving() {
+        // Each shard records five spans, three past a cap of two, from its own
+        // thread; the two runs join the threads in opposite orders.
+        let run = |first: u32| {
+            let t = Tracer::with_capacity(2);
+            let record = |shard: u32| {
+                let s = t.for_shard(shard);
+                std::thread::spawn(move || {
+                    for i in 0..5 {
+                        s.span(Stage::FlashBus, ns(10 * u64::from(shard) + i), ns(100));
+                    }
+                })
+            };
+            record(first).join().unwrap();
+            record(1 - first).join().unwrap();
+            (t.spans(), t.dropped_spans())
+        };
+        let (spans, dropped) = run(0);
+        assert_eq!((spans.clone(), dropped), run(1));
+        assert_eq!(dropped, 6);
+        let kept: Vec<_> = spans.iter().map(|s| (s.shard, s.start)).collect();
+        assert_eq!(
+            kept,
+            vec![
+                (Some(0), ns(0)),
+                (Some(0), ns(1)),
+                (Some(1), ns(10)),
+                (Some(1), ns(11)),
+            ]
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Simulation time and bandwidth primitives.
+//! Simulation time, bandwidth and resource-timeline primitives.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
@@ -141,6 +141,53 @@ impl fmt::Display for Bandwidth {
     }
 }
 
+/// The busy timeline of one serialized resource (a bus, a die, a link, a
+/// compute engine): work occupies it from the later of its issue time and
+/// the end of the previous work, one piece after another.
+///
+/// ```
+/// use ecssd_trace::{SimTime, Timeline};
+/// let mut bus = Timeline::default();
+/// assert_eq!(bus.occupy(SimTime::ZERO, 10), (SimTime::ZERO, SimTime::from_ns(10)));
+/// // Issued at 4 ns, the second transfer waits for the first.
+/// let (start, done) = bus.occupy(SimTime::from_ns(4), 10);
+/// assert_eq!((start.as_ns(), done.as_ns()), (10, 20));
+/// assert_eq!(bus.busy_ns(), 20);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Timeline {
+    free_at: SimTime,
+    busy_ns: u64,
+}
+
+impl Timeline {
+    /// Occupies the resource for `dur` ns, starting no earlier than `issue`
+    /// and no earlier than the previous occupation's end; returns the
+    /// occupation's `(start, done)`.
+    pub fn occupy(&mut self, issue: SimTime, dur: u64) -> (SimTime, SimTime) {
+        let start = issue.max(self.free_at);
+        let done = start + dur;
+        self.free_at = done;
+        self.busy_ns += dur;
+        (start, done)
+    }
+
+    /// When the last occupation ends.
+    pub fn free_at(&self) -> SimTime {
+        self.free_at
+    }
+
+    /// Accumulated busy time, ns.
+    pub fn busy_ns(&self) -> u64 {
+        self.busy_ns
+    }
+
+    /// Clears the busy total; the timeline keeps its position.
+    pub fn reset_busy(&mut self) {
+        self.busy_ns = 0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +230,22 @@ mod tests {
         assert_eq!(SimTime::from_ms(2).to_string(), "2.000ms");
         assert_eq!(SimTime::from_ms(2_000).to_string(), "2.000s");
         assert_eq!(Bandwidth::from_gbps(12.8).to_string(), "12.80 GB/s");
+    }
+
+    #[test]
+    fn timeline_serializes_and_keeps_its_place_across_a_reset() {
+        let mut t = Timeline::default();
+        assert_eq!(t.occupy(SimTime::from_ns(5), 3).0, SimTime::from_ns(5));
+        assert_eq!(
+            t.occupy(SimTime::ZERO, 4),
+            (SimTime::from_ns(8), SimTime::from_ns(12))
+        );
+        assert_eq!((t.free_at(), t.busy_ns()), (SimTime::from_ns(12), 7));
+        t.reset_busy();
+        assert_eq!((t.free_at(), t.busy_ns()), (SimTime::from_ns(12), 0));
+        // An idle gap is not busy time.
+        t.occupy(SimTime::from_ns(20), 1);
+        assert_eq!((t.free_at(), t.busy_ns()), (SimTime::from_ns(21), 1));
     }
 
     #[test]

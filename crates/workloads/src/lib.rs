@@ -40,7 +40,6 @@ mod benchmark;
 mod computed;
 mod gather;
 mod hotness;
-mod stats;
 mod trace;
 
 pub use arrivals::{Arrival, OpenLoopArrivals, RateCurve, ZipfPopularity};
@@ -48,5 +47,4 @@ pub use benchmark::Benchmark;
 pub use computed::ComputedWorkload;
 pub use gather::{EmbeddingTableTrace, GatherTraceConfig};
 pub use hotness::{HotnessModel, PredictorModel};
-pub use stats::{analyze, TraceStats};
 pub use trace::{CandidateSource, SampledWorkload, TraceConfig, TRAINING_QUERY_BASE};
