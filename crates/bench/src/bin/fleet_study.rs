@@ -23,7 +23,7 @@
 
 use ecssd_core::prelude::*;
 use ecssd_core::UpdateBatch;
-use ecssd_serve::{AdmissionControl, ClassReport, Fleet, FleetPolicy, FleetReport, ServeEngine};
+use ecssd_serve::{AdmissionControl, ClassReport, Fleet, FleetReport, ServeEngine};
 use ecssd_ssd::JournalConfig;
 use ecssd_workloads::{Arrival, OpenLoopArrivals, RateCurve, ZipfPopularity};
 
@@ -72,7 +72,7 @@ fn probe_service_ns() -> u64 {
     engine
         .deploy(&weights())
         .unwrap_or_else(|e| fail(&format!("probe deploy: {e}")));
-    let batch: Vec<Request> = (0..FleetPolicy::default().max_batch)
+    let batch: Vec<Request> = (0..Fleet::DEFAULT_POLICY.max_batch)
         .map(|i| Request::new(query_for(i as u64), K))
         .collect();
     let n = batch.len() as u64;
@@ -93,12 +93,9 @@ fn run_point(targets: &Targets, load: f64, admission: AdmissionControl) -> Fleet
         .replicas(REPLICAS)
         .slo(targets.slo)
         .admission(admission)
-        .policy(FleetPolicy {
-            // The baseline must be free to build a deep backlog: its
-            // failure mode is latency divergence, not queue overflow.
-            queue_limit: 100_000,
-            ..FleetPolicy::default()
-        })
+        // The baseline must be free to build a deep backlog: its failure
+        // mode is latency divergence, not queue overflow.
+        .queue_limit(100_000)
         .build()
         .unwrap_or_else(|e| fail(&format!("fleet build: {e}")));
     fleet
@@ -350,13 +347,13 @@ fn crash_study(targets: &Targets) {
 
 fn main() {
     let service_ns = probe_service_ns();
-    let batch_ns = service_ns * FleetPolicy::default().max_batch as u64;
+    let batch_ns = service_ns * Fleet::DEFAULT_POLICY.max_batch as u64;
     // SLO targets derived from the probed service time, so they track the
     // device model instead of hard-coding microseconds: the LS budget is
     // one batching window plus a few batch times.
     let slo = SloTargets {
-        latency_sensitive_us: (FleetPolicy::default().max_wait_us + 4 * batch_ns / 1_000).max(1),
-        batch_us: (FleetPolicy::default().max_wait_us + 80 * batch_ns / 1_000).max(1),
+        latency_sensitive_us: (Fleet::DEFAULT_POLICY.max_wait_us + 4 * batch_ns / 1_000).max(1),
+        batch_us: (Fleet::DEFAULT_POLICY.max_wait_us + 80 * batch_ns / 1_000).max(1),
     };
     // Fleet capacity: every replica serves one query per service time.
     let capacity_qps = REPLICAS as f64 * 1e9 / service_ns as f64;

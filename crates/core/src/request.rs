@@ -36,7 +36,7 @@ impl std::fmt::Display for QueryClass {
 #[non_exhaustive]
 pub enum RejectReason {
     /// A fleet replica's queue was at its configured limit
-    /// (`ecssd_serve::FleetPolicy::queue_limit`).
+    /// (`ecssd_serve::FleetBuilder::queue_limit`).
     QueueFull,
     /// Admission control predicted the deadline cannot be met and shed the
     /// request before it consumed device time.

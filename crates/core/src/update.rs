@@ -187,7 +187,7 @@ impl Ecssd {
         let mut programs = issue;
         let staged_before = staged.staged_lpns.len();
         let pages = self.rows.weights.pages;
-        let gc_before = self.device.ftl().gc_totals();
+        let gc_before = self.device.ftl().gc_by_channel().to_vec();
         let row_bytes = (screener.projected_dim().div_ceil(2) + 4) as u64;
         let delta = &mut staged.delta;
         for (i, &op) in ops.iter().enumerate() {
@@ -251,38 +251,37 @@ impl Ecssd {
             report.pages_programmed += pages;
         }
         let new_lpns = &staged.staged_lpns[staged_before..];
-        let side_effects = self.charge_side_effects(&mut report, gc_before, new_lpns, issue);
+        let side_effects = self.charge_side_effects(&mut report, &gc_before, new_lpns, issue);
         report.staged_at = programs.max(dram).max(side_effects);
         self.clock = issue;
         Ok(report)
     }
 
     /// Charges what the update writes triggered beyond the data programs,
-    /// issued with them at `issue`: GC relocations/erases, and the RAID-5
-    /// read-modify-write of each touched stripe on that stripe's own dies.
-    /// Returns when the last of them completes.
+    /// issued with them at `issue`: each channel's GC relocations/erases
+    /// on that channel (`gc_before` holds the per-channel counts before
+    /// the writes), and the RAID-5 read-modify-write of each touched
+    /// stripe on that stripe's own dies. Returns when the last of them
+    /// completes.
     fn charge_side_effects(
         &mut self,
         report: &mut UpdateReport,
-        gc_before: GcReport,
+        gc_before: &[GcReport],
         new_lpns: &[u64],
         issue: SimTime,
     ) -> SimTime {
-        let ftl = self.device.ftl();
+        let (ftl, _, flash) = self.device.split_mut();
         let new_pages: Vec<PhysPageAddr> = new_lpns
             .iter()
             .filter_map(|&lpn| ftl.translate(lpn).ok())
             .collect();
-        let gc_after = ftl.gc_totals();
-        report.gc = GcReport {
-            moved_pages: gc_after.moved_pages - gc_before.moved_pages,
-            erased_blocks: gc_after.erased_blocks - gc_before.erased_blocks,
-        };
         let mut done = issue;
-        if report.gc != GcReport::default() {
-            let channel = new_pages.first().map_or(0, |p| p.channel);
-            let (ftl, _, flash) = self.device.split_mut();
-            done = done.max(ftl.charge_gc(flash, channel, report.gc, issue));
+        for (channel, (&after, &before)) in ftl.gc_by_channel().iter().zip(gc_before).enumerate() {
+            let gc = after - before;
+            if gc != GcReport::default() {
+                report.gc = report.gc + gc;
+                done = done.max(ftl.charge_gc(flash, channel, gc, issue));
+            }
         }
         let geometry = self.device.config().geometry;
         if !new_pages.is_empty() && geometry.dies_per_channel >= 2 {
@@ -422,5 +421,64 @@ mod tests {
         assert!(words <= COLS + k + 2, "{words} words held");
         assert!(codes <= k, "{codes} INT4 codes held");
         assert!(lpns <= 1, "{lpns} LPNs held");
+    }
+
+    #[test]
+    fn update_gc_is_charged_on_the_channels_that_collected() {
+        const COLS: usize = 32;
+        const ROWS: usize = 640;
+        // One die per channel: no parity stripe, so a staged batch's die
+        // time is its data programs and the GC they trigger.
+        let config = EcssdConfig::tiny_builder()
+            .dies_per_channel(1)
+            .build()
+            .unwrap();
+        let mut dev = Ecssd::new(config);
+        dev.enable();
+        dev.weight_deploy(&DenseMatrix::random(ROWS, COLS, 5))
+            .unwrap();
+        let timing = *dev.device().flash().timing();
+        let channels = dev.device().config().geometry.channels;
+        let mut multi_channel_batches = 0;
+        for round in 0..96usize {
+            let mut batch = UpdateBatch::new(COLS);
+            // Scattered rows: blocks are left partly valid, so GC must
+            // relocate pages as well as erase.
+            for i in 0..16 {
+                let row = (round * 16 + i).wrapping_mul(0x9e37_79b9) % ROWS;
+                batch = batch.replace(row, vec![round as f32 * 0.01; COLS]).unwrap();
+            }
+            let gc_before = dev.device().ftl().gc_by_channel().to_vec();
+            let busy_before = dev.device().flash().die_busy_ns();
+            dev.stage_update(&batch).unwrap();
+            let ftl = dev.device().ftl();
+            let mut programs = vec![0u64; channels];
+            for &lpn in &dev.staged.as_ref().unwrap().staged_lpns {
+                programs[ftl.channel_of(lpn)] += 1;
+            }
+            let busy_after = dev.device().flash().die_busy_ns();
+            let mut collected = 0;
+            for c in 0..channels {
+                let gc = ftl.gc_by_channel()[c] - gc_before[c];
+                if gc.moved_pages + gc.erased_blocks > 0 {
+                    collected += 1;
+                }
+                assert_eq!(
+                    busy_after[c] - busy_before[c],
+                    programs[c] * timing.program_latency_ns
+                        + gc.moved_pages * (timing.read_latency_ns + timing.program_latency_ns)
+                        + gc.erased_blocks * timing.erase_latency_ns,
+                    "round {round}, channel {c}: {gc:?}"
+                );
+            }
+            if collected >= 2 {
+                multi_channel_batches += 1;
+            }
+            dev.commit_update().unwrap();
+        }
+        assert!(
+            multi_channel_batches > 0,
+            "no batch collected on two channels"
+        );
     }
 }

@@ -104,7 +104,7 @@ pub struct ServeReport {
     pub mixed_version_batches: u64,
     /// Submissions shed at a queue limit. Always 0: the engine runs every
     /// batch synchronously and has no queue to fill — shedding at a queue
-    /// limit is the fleet's job ([`crate::FleetPolicy::queue_limit`]).
+    /// limit is the fleet's job ([`crate::FleetBuilder::queue_limit`]).
     /// Kept so existing report consumers stay unchanged.
     pub shed_queue_full: u64,
     /// Served queries whose answer completed past their simulated deadline

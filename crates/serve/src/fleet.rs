@@ -24,10 +24,12 @@
 //!
 //! The fleet runs entirely in *simulated* time: its clock advances with
 //! arrivals, a replica queue is cut into engine batches by the same
-//! batcher the engine uses (`ecssd_core::split_batches`), each batch runs
-//! synchronously as one pre-formed engine batch
-//! ([`ServeEngine::submit_formed`]), and the same seed therefore yields a
-//! byte-identical report.
+//! batcher the engine uses (`ecssd_core::split_batches`) under that
+//! replica engine's own [`ServePolicy`] (so a controller's `SetPolicy`
+//! retunes it), each batch runs synchronously as one pre-formed engine
+//! batch ([`ServeEngine::submit_formed`]) and occupies the replica's one
+//! [`Timeline`], and the same seed therefore yields a byte-identical
+//! report.
 
 use std::collections::VecDeque;
 
@@ -38,34 +40,9 @@ use ecssd_core::{
 };
 use ecssd_screen::DenseMatrix;
 use ecssd_ssd::JournalConfig;
-use ecssd_trace::percentile_us;
+use ecssd_trace::{percentile_us, SimTime, Timeline};
 
 use crate::engine::{RecoverySummary, ServeEngine, ServePolicy};
-
-/// Batch formation and queueing policy for the fleet's load balancer. The
-/// fleet forms per-replica batches itself and hands each engine a
-/// pre-formed batch, so the engine-level [`ServePolicy`] never applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FleetPolicy {
-    /// Close a per-replica batch once it holds this many requests.
-    pub max_batch: usize,
-    /// Dispatch a non-empty per-replica queue once its oldest request has
-    /// waited this long (simulated µs).
-    pub max_wait_us: u64,
-    /// Shed ([`RejectReason::QueueFull`]) once a replica's queued +
-    /// estimated in-flight requests reach this count.
-    pub queue_limit: usize,
-}
-
-impl Default for FleetPolicy {
-    fn default() -> Self {
-        FleetPolicy {
-            max_batch: 8,
-            max_wait_us: 400,
-            queue_limit: 64,
-        }
-    }
-}
 
 /// Admission-control policy applied to every offered request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,7 +86,8 @@ pub struct FleetBuilder {
     config: EcssdConfig,
     replicas: usize,
     shards_per_replica: usize,
-    policy: FleetPolicy,
+    policy: ServePolicy,
+    queue_limit: usize,
     slo: SloTargets,
     admission: AdmissionControl,
     journal: Option<JournalConfig>,
@@ -129,6 +107,19 @@ impl std::fmt::Debug for FleetBuilder {
 }
 
 impl Fleet {
+    /// The batch policy every replica engine starts with unless
+    /// [`FleetBuilder::policy`] sets another: batches of up to 8 requests,
+    /// cut once the oldest has waited 400 µs (twice the engine's own
+    /// default window, [`ServePolicy::default`]).
+    pub const DEFAULT_POLICY: ServePolicy = ServePolicy {
+        max_batch: 8,
+        max_wait_us: 400,
+    };
+
+    /// The per-replica queue limit unless [`FleetBuilder::queue_limit`]
+    /// sets another.
+    pub const DEFAULT_QUEUE_LIMIT: usize = 64;
+
     /// Starts building a fleet over one device configuration (every shard
     /// of every replica is a clone of it).
     pub fn builder(config: EcssdConfig) -> FleetBuilder {
@@ -136,7 +127,8 @@ impl Fleet {
             config,
             replicas: 2,
             shards_per_replica: 1,
-            policy: FleetPolicy::default(),
+            policy: Fleet::DEFAULT_POLICY,
+            queue_limit: Fleet::DEFAULT_QUEUE_LIMIT,
             slo: SloTargets::default(),
             admission: AdmissionControl::default(),
             journal: None,
@@ -159,9 +151,20 @@ impl FleetBuilder {
         self
     }
 
-    /// Load-balancer batching and queueing policy.
-    pub fn policy(mut self, policy: FleetPolicy) -> Self {
+    /// The batch policy every replica engine starts with. The fleet cuts
+    /// each replica's queue under that engine's policy in force
+    /// ([`ServeEngine::policy`]), so a controller's `SetPolicy` retunes
+    /// it. Default [`Fleet::DEFAULT_POLICY`].
+    pub fn policy(mut self, policy: ServePolicy) -> Self {
         self.policy = policy;
+        self
+    }
+
+    /// Shed ([`RejectReason::QueueFull`]) once a replica's queued and
+    /// estimated in-flight requests exceed this count. Default
+    /// [`Fleet::DEFAULT_QUEUE_LIMIT`].
+    pub fn queue_limit(mut self, queue_limit: usize) -> Self {
+        self.queue_limit = queue_limit;
         self
     }
 
@@ -172,8 +175,8 @@ impl FleetBuilder {
         self
     }
 
-    /// Admission-control policy. Default: deadline-aware with 2× batch
-    /// headroom.
+    /// Admission-control policy. Default: deadline-aware with a batch
+    /// headroom of 0.5 ([`AdmissionControl::default`]).
     pub fn admission(mut self, admission: AdmissionControl) -> Self {
         self.admission = admission;
         self
@@ -210,21 +213,18 @@ impl FleetBuilder {
     ///
     /// # Errors
     ///
-    /// Zero replicas ([`EcssdError::NoReplicas`]) and a zero `max_batch`
-    /// ([`EcssdError::ZeroMaxBatch`]) are rejected; engine construction
-    /// failures propagate.
+    /// Zero replicas are rejected ([`EcssdError::NoReplicas`]); engine
+    /// construction failures propagate, a zero `max_batch`
+    /// ([`EcssdError::ZeroMaxBatch`]) among them.
     pub fn build(self) -> Result<Fleet, EcssdError> {
         if self.replicas == 0 {
             return Err(EcssdError::NoReplicas);
-        }
-        if self.policy.max_batch == 0 {
-            return Err(EcssdError::ZeroMaxBatch);
         }
         let mut engines = Vec::with_capacity(self.replicas);
         for _ in 0..self.replicas {
             let mut b = ServeEngine::builder(self.config.clone())
                 .shards(self.shards_per_replica)
-                .policy(ServePolicy::default());
+                .policy(self.policy);
             if let Some(journal) = self.journal {
                 b = b.journal(journal);
             }
@@ -236,15 +236,13 @@ impl FleetBuilder {
         let n = self.replicas;
         Ok(Fleet {
             engines,
-            policy: self.policy,
+            queue_limit: self.queue_limit,
             slo: self.slo,
             admission: self.admission,
             affinity_routing: self.affinity_routing,
-            epochs: vec![0; n],
             fleet_epoch: 0,
             now_ns: 0,
-            free_at_ns: vec![0; n],
-            busy_ns: vec![0; n],
+            timelines: vec![Timeline::default(); n],
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             service_est_ns: 0.0,
             stale_served: 0,
@@ -282,22 +280,18 @@ struct ClassAccum {
 /// with them), then [`Fleet::drain`] and [`Fleet::report`].
 pub struct Fleet {
     engines: Vec<ServeEngine>,
-    policy: FleetPolicy,
+    queue_limit: usize,
     slo: SloTargets,
     admission: AdmissionControl,
     affinity_routing: bool,
-    /// Commit epoch each replica serves (tracked on the fleet side so
-    /// routing never needs to query an engine mid-decision).
-    epochs: Vec<u64>,
     /// The newest epoch any replica serves; only replicas *at* it are
     /// eligible for new requests.
     fleet_epoch: u64,
     /// The fleet clock, ns; advances with offered arrivals.
     now_ns: u64,
-    /// When each replica's device finishes its queued work.
-    free_at_ns: Vec<u64>,
-    /// Simulated time each replica spent executing batches.
-    busy_ns: Vec<u64>,
+    /// Each replica's device occupancy: its batches, updates, control
+    /// actions and recoveries, one after another.
+    timelines: Vec<Timeline>,
     queues: Vec<VecDeque<QueuedRequest>>,
     /// EWMA per-query service estimate, ns (admission and backlog math).
     service_est_ns: f64,
@@ -365,16 +359,21 @@ impl Fleet {
     ///
     /// The first replica failure propagates.
     pub fn deploy(&mut self, weights: &DenseMatrix) -> Result<(), EcssdError> {
-        for (r, engine) in self.engines.iter_mut().enumerate() {
+        for engine in &mut self.engines {
             engine.deploy(weights)?;
-            self.epochs[r] = engine.epoch();
+            self.fleet_epoch = self.fleet_epoch.max(engine.epoch());
         }
-        self.fleet_epoch = self.epochs.iter().copied().max().unwrap_or(0);
         Ok(())
     }
 
-    fn max_wait_ns(&self) -> u64 {
-        self.policy.max_wait_us.saturating_mul(1_000)
+    /// Replica `r`'s batch window, ns, under its engine's policy.
+    fn max_wait_ns(&self, r: usize) -> u64 {
+        self.engines[r].policy().max_wait_us.saturating_mul(1_000)
+    }
+
+    /// When replica `r`'s device finishes the work it holds, ns.
+    fn free_at(&self, r: usize) -> u64 {
+        self.timelines[r].free_at().as_ns()
     }
 
     /// Offers one request to the fleet at its arrival time (requests must
@@ -400,7 +399,7 @@ impl Fleet {
         // Epoch-aware eligibility: a replica mid-rolling-deploy or behind
         // after crash recovery never sees new requests.
         let eligible: Vec<usize> = (0..self.engines.len())
-            .filter(|&r| self.epochs[r] == self.fleet_epoch)
+            .filter(|&r| self.engines[r].epoch() == self.fleet_epoch)
             .collect();
         if eligible.is_empty() {
             self.classes[ci].shed_unavailable += 1;
@@ -410,7 +409,7 @@ impl Fleet {
         // Route: least backlog, with an affinity preference unless it is
         // materially worse.
         let backlog = |fleet: &Fleet, r: usize| -> f64 {
-            fleet.free_at_ns[r].saturating_sub(arrival) as f64
+            fleet.free_at(r).saturating_sub(arrival) as f64
                 + fleet.queues[r].len() as f64 * fleet.service_est_ns
         };
         let mut target = eligible[0];
@@ -421,7 +420,7 @@ impl Fleet {
         }
         if self.affinity_routing {
             let pref = eligible[(feature_hash(&request.features) % eligible.len() as u64) as usize];
-            let slack = self.service_est_ns * self.policy.max_batch as f64;
+            let slack = self.service_est_ns * self.engines[pref].policy().max_batch as f64;
             if backlog(self, pref) <= backlog(self, target) + slack {
                 target = pref;
             }
@@ -429,12 +428,12 @@ impl Fleet {
 
         // Queue limit: queued plus the in-flight work the device still owes.
         let in_flight = if self.service_est_ns > 0.0 {
-            (self.free_at_ns[target].saturating_sub(arrival) as f64 / self.service_est_ns).ceil()
+            (self.free_at(target).saturating_sub(arrival) as f64 / self.service_est_ns).ceil()
                 as usize
         } else {
             0
         };
-        if self.queues[target].len() + in_flight > self.policy.queue_limit {
+        if self.queues[target].len() + in_flight > self.queue_limit {
             self.classes[ci].shed_queue_full += 1;
             return Ok(Some(RejectReason::QueueFull));
         }
@@ -442,10 +441,10 @@ impl Fleet {
         // Deadline-aware admission: estimate completion latency and check
         // it against the class budget.
         if let AdmissionControl::DeadlineAware { batch_headroom } = self.admission {
-            let est_ns = self.max_wait_ns() as f64
-                + self.free_at_ns[target].saturating_sub(arrival) as f64
+            let est_ns = self.max_wait_ns(target) as f64
+                + self.free_at(target).saturating_sub(arrival) as f64
                 + self.queues[target].len() as f64 * self.service_est_ns
-                + self.service_est_ns * self.policy.max_batch as f64;
+                + self.service_est_ns * self.engines[target].policy().max_batch as f64;
             let own_budget_ns = deadline_ns.saturating_sub(arrival) as f64;
             let ls_target_ns = self.slo.latency_sensitive_us.saturating_mul(1_000) as f64;
             let ceiling_ns = match request.class {
@@ -466,7 +465,7 @@ impl Fleet {
             arrival_ns: arrival,
             deadline_ns,
         });
-        if self.queues[target].len() >= self.policy.max_batch {
+        if self.queues[target].len() >= self.engines[target].policy().max_batch {
             self.dispatch(target, arrival)?;
         }
         Ok(None)
@@ -480,7 +479,7 @@ impl Fleet {
             let mut best: Option<(u64, usize)> = None;
             for (r, queue) in self.queues.iter().enumerate() {
                 if let Some(front) = queue.front() {
-                    let due = front.arrival_ns + self.max_wait_ns();
+                    let due = front.arrival_ns + self.max_wait_ns(r);
                     if due <= t && best.is_none_or(|(d, _)| due < d) {
                         best = Some((due, r));
                     }
@@ -497,9 +496,10 @@ impl Fleet {
 
     /// Dispatches up to `max_batch` queued requests on replica `r` at fleet
     /// time `at_ns`, as one or more pre-formed engine batches (consecutive
-    /// equal-`k` runs share a batch).
+    /// equal-`k` runs share a batch) cut under the replica's policy.
     fn dispatch(&mut self, r: usize, at_ns: u64) -> Result<(), EcssdError> {
-        let take = self.queues[r].len().min(self.policy.max_batch);
+        let policy = self.engines[r].policy();
+        let take = self.queues[r].len().min(policy.max_batch);
         let mut taken: Vec<QueuedRequest> = self.queues[r].drain(..take).collect();
         if taken.is_empty() {
             return Ok(());
@@ -510,7 +510,7 @@ impl Fleet {
             .iter()
             .map(|q| Request::new(Vec::new(), q.k).with_arrival_ns(q.arrival_ns))
             .collect();
-        for span in split_batches(&shapes, self.policy.max_batch, self.max_wait_ns()) {
+        for span in split_batches(&shapes, policy.max_batch, self.max_wait_ns(r)) {
             let group = &mut taken[span];
             let requests: Vec<Request> = group
                 .iter_mut()
@@ -518,11 +518,8 @@ impl Fleet {
                 .collect();
             let n = requests.len() as u64;
             let outcome = self.engines[r].submit_formed(requests)?.wait()?;
-            let begin = self.free_at_ns[r].max(at_ns);
-            let done = begin + outcome.sim_ns;
-            self.free_at_ns[r] = done;
-            self.busy_ns[r] += outcome.sim_ns;
-            self.epochs[r] = self.epochs[r].max(outcome.epoch);
+            let (_, done) = self.timelines[r].occupy(SimTime::from_ns(at_ns), outcome.sim_ns);
+            let done = done.as_ns();
             if outcome.epoch < self.fleet_epoch {
                 self.stale_served += n;
             }
@@ -563,18 +560,18 @@ impl Fleet {
     /// or now, whichever is later.
     fn flush(&mut self, r: usize) -> Result<(), EcssdError> {
         while let Some(front) = self.queues[r].front() {
-            let at = self.now_ns.max(front.arrival_ns + self.max_wait_ns());
+            let at = self.now_ns.max(front.arrival_ns + self.max_wait_ns(r));
             self.dispatch(r, at)?;
         }
         Ok(())
     }
 
     /// Occupies replica `r` for `delta_ns` of device time from now (an
-    /// update, a control action or a recovery) and refreshes its epoch.
+    /// update, a control action or a recovery) and refreshes the fleet
+    /// epoch from its engine.
     fn charge(&mut self, r: usize, delta_ns: u64) {
-        self.free_at_ns[r] = self.free_at_ns[r].max(self.now_ns) + delta_ns;
-        self.epochs[r] = self.engines[r].epoch();
-        self.fleet_epoch = self.fleet_epoch.max(self.epochs[r]);
+        self.timelines[r].occupy(SimTime::from_ns(self.now_ns), delta_ns);
+        self.fleet_epoch = self.fleet_epoch.max(self.engines[r].epoch());
     }
 
     /// Runs `op` on replica `r`'s engine and [charges](Self::charge) the
@@ -644,10 +641,11 @@ impl Fleet {
     /// [`ServeEngine::control_tick`]): each replica's controller observes
     /// its own telemetry window and actuates on its own devices. Queues
     /// are flushed first so every window covers fully-answered work, and
-    /// replica epochs are refreshed afterwards (a controller-triggered
+    /// the fleet epoch is refreshed afterwards (a controller-triggered
     /// re-interleave commits like any update, and routing must not treat
-    /// ticked replicas as stale). Returns the actions per replica; all
-    /// empty when no controller is attached.
+    /// ticked replicas as stale). A `SetPolicy` changes how that
+    /// replica's queue is cut from then on. Returns the actions per
+    /// replica; all empty when no controller is attached.
     ///
     /// # Errors
     ///
@@ -695,10 +693,8 @@ impl Fleet {
     /// The fleet-wide metrics snapshot. Deterministic: two fleets driven
     /// by the same seed report identical snapshots.
     pub fn report(&self) -> FleetReport {
-        let sim_elapsed_ns = self
-            .free_at_ns
-            .iter()
-            .copied()
+        let sim_elapsed_ns = (0..self.engines.len())
+            .map(|r| self.free_at(r))
             .max()
             .unwrap_or(0)
             .max(self.now_ns);
@@ -727,16 +723,17 @@ impl Fleet {
         let per_replica = (0..self.engines.len())
             .map(|r| {
                 let stats = Classifier::stats(&self.engines[r]);
+                let epoch = self.engines[r].epoch();
                 ReplicaReport {
                     queries: stats.queries,
                     batches: stats.batches,
                     utilization: if sim_elapsed_ns == 0 {
                         0.0
                     } else {
-                        self.busy_ns[r] as f64 / sim_elapsed_ns as f64
+                        self.timelines[r].busy_ns() as f64 / sim_elapsed_ns as f64
                     },
-                    epoch: self.epochs[r],
-                    epoch_lag: self.fleet_epoch.saturating_sub(self.epochs[r]),
+                    epoch,
+                    epoch_lag: self.fleet_epoch.saturating_sub(epoch),
                     cache_hit_rate: stats.cache.hit_rate(),
                     cache_misses: stats.cache.misses,
                 }
@@ -793,7 +790,8 @@ pub struct ReplicaReport {
     pub queries: u64,
     /// Batches this replica executed.
     pub batches: u64,
-    /// Busy device time over the fleet's simulated span.
+    /// Busy device time (batches, updates, control actions and
+    /// recoveries) over the fleet's simulated span.
     pub utilization: f64,
     /// Commit epoch the replica serves.
     pub epoch: u64,
@@ -829,6 +827,10 @@ pub struct FleetReport {
     /// Per-replica utilization and version state.
     pub per_replica: Vec<ReplicaReport>,
 }
+
+#[cfg(test)]
+#[path = "fleet_law.rs"]
+mod law;
 
 #[cfg(test)]
 mod tests {
@@ -935,10 +937,7 @@ mod tests {
                 .replicas(1)
                 .slo(slo)
                 .admission(admission)
-                .policy(FleetPolicy {
-                    queue_limit: 10_000,
-                    ..FleetPolicy::default()
-                })
+                .queue_limit(10_000)
                 .build()
                 .unwrap();
             fleet.deploy(&DenseMatrix::random(400, 32, 3)).unwrap();
@@ -1023,6 +1022,35 @@ mod tests {
     }
 
     #[test]
+    fn updates_and_recoveries_count_as_busy_time() {
+        let mut fleet = Fleet::builder(tiny())
+            .replicas(2)
+            .journal(JournalConfig::default())
+            .build()
+            .unwrap();
+        fleet.deploy(&DenseMatrix::random(400, 32, 3)).unwrap();
+        let deployed: Vec<u64> = fleet
+            .engines
+            .iter()
+            .map(|e| Classifier::elapsed(e).as_ns())
+            .collect();
+        // No traffic: a rolling update over both replicas, then a crash.
+        let update = UpdateBatch::new(32).replace(0, query(32, 9.9)).unwrap();
+        fleet.rolling_update_begin(update).unwrap();
+        while fleet.rolling_update_step().unwrap() {}
+        fleet.crash_replica(1, None).unwrap();
+        let report = fleet.report();
+        for (r, replica) in report.per_replica.iter().enumerate() {
+            let advance = Classifier::elapsed(&fleet.engines[r]).as_ns() - deployed[r];
+            assert!(replica.utilization > 0.0, "replica {r}: {replica:?}");
+            assert_eq!(
+                replica.utilization,
+                advance as f64 / report.sim_elapsed_ns as f64
+            );
+        }
+    }
+
+    #[test]
     fn invalid_fleet_construction_is_rejected() {
         assert!(matches!(
             Fleet::builder(tiny()).replicas(0).build(),
@@ -1030,9 +1058,9 @@ mod tests {
         ));
         assert!(matches!(
             Fleet::builder(tiny())
-                .policy(FleetPolicy {
+                .policy(ServePolicy {
                     max_batch: 0,
-                    ..FleetPolicy::default()
+                    ..Fleet::DEFAULT_POLICY
                 })
                 .build(),
             Err(EcssdError::ZeroMaxBatch)

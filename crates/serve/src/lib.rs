@@ -60,6 +60,4 @@ pub use ecssd_control::{ControlAction, Controller, TelemetryFrame};
 pub use engine::{
     BatchOutcome, PendingBatch, RecoverySummary, ServeEngine, ServePolicy, ServeReport,
 };
-pub use fleet::{
-    AdmissionControl, ClassReport, Fleet, FleetBuilder, FleetPolicy, FleetReport, ReplicaReport,
-};
+pub use fleet::{AdmissionControl, ClassReport, Fleet, FleetBuilder, FleetReport, ReplicaReport};

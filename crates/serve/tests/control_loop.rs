@@ -7,8 +7,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ecssd_control::{
-    ControlAction, DriftConfig, EstimatorConfig, SloFeedbackConfig, SloFeedbackControl,
-    StaticControl,
+    ControlAction, Controller, DriftConfig, EstimatorConfig, SloFeedbackConfig, SloFeedbackControl,
+    StaticControl, TelemetryFrame,
 };
 use ecssd_core::prelude::*;
 use ecssd_screen::ThresholdPolicy;
@@ -152,6 +152,78 @@ fn fleet_runs_one_controller_per_replica() {
     fleet.drain().unwrap();
     let report = fleet.report();
     assert_eq!(report.mixed_version_batches, 0);
+}
+
+/// Sets one-query batches on every tick.
+struct OneQueryBatches;
+
+impl Controller for OneQueryBatches {
+    fn name(&self) -> &'static str {
+        "one-query-batches"
+    }
+
+    fn observe(&mut self, _: &TelemetryFrame) -> Vec<ControlAction> {
+        vec![ControlAction::SetPolicy {
+            max_batch: 1,
+            max_wait_us: 400,
+        }]
+    }
+}
+
+#[test]
+fn fleet_controller_set_policy_cuts_replica_queues() {
+    use ecssd_serve::{Fleet, FleetReport};
+    use ecssd_workloads::{OpenLoopArrivals, RateCurve, ZipfPopularity};
+
+    let weights = weights();
+    // Budgets far above the device time: admission sheds nothing.
+    let mut fleet = Fleet::builder(tiny())
+        .replicas(2)
+        .slo(SloTargets {
+            latency_sensitive_us: 1_000_000,
+            batch_us: 10_000_000,
+        })
+        .controller(|| OneQueryBatches)
+        .build()
+        .unwrap();
+    fleet.deploy(&weights).unwrap();
+    // Arrivals 250 µs apart on average, inside the default 400 µs window,
+    // so the default policy batches them.
+    let mut arrivals = OpenLoopArrivals::new(
+        7,
+        RateCurve::Constant { qps: 4_000.0 },
+        ZipfPopularity::new(48, 1.1),
+    );
+    let mut offer = |fleet: &mut Fleet, n: usize| -> FleetReport {
+        for arrival in arrivals.by_ref().take(n) {
+            let q = near_row(&weights, (arrival.query_id as usize * 13) % ROWS, 0.0);
+            let _ = fleet
+                .offer(Request::new(q, 5).with_arrival_ns(arrival.at_ns))
+                .unwrap();
+        }
+        fleet.drain().unwrap();
+        fleet.report()
+    };
+
+    let before = offer(&mut fleet, 64);
+    assert!(
+        before.per_replica.iter().any(|r| r.queries > r.batches),
+        "the default policy must batch: {:?}",
+        before.per_replica
+    );
+    let actions = fleet.control_tick().unwrap();
+    assert!(actions.iter().all(|a| a.len() == 1));
+
+    let after = offer(&mut fleet, 64);
+    for (b, a) in before.per_replica.iter().zip(&after.per_replica) {
+        let queries = a.queries - b.queries;
+        assert_eq!(
+            queries,
+            a.batches - b.batches,
+            "SetPolicy {{ max_batch: 1 }} must cut one-query batches"
+        );
+        assert!(queries > 0, "every replica serves after the tick");
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use ecssd_core::prelude::*;
 use ecssd_core::UpdateBatch;
-use ecssd_serve::{Fleet, FleetPolicy};
+use ecssd_serve::Fleet;
 use ecssd_ssd::JournalConfig;
 use ecssd_workloads::{OpenLoopArrivals, RateCurve, ZipfPopularity};
 
@@ -157,10 +157,7 @@ fn single_replica_crash_recovers_and_rejoins_routing() {
             latency_sensitive_us: 1_000_000,
             batch_us: 10_000_000,
         })
-        .policy(FleetPolicy {
-            queue_limit: 1_000,
-            ..FleetPolicy::default()
-        })
+        .queue_limit(1_000)
         .build()
         .unwrap();
     fleet.deploy(&DenseMatrix::random(L, D, 0xf1ee7)).unwrap();

@@ -90,6 +90,29 @@ pub struct GcReport {
     pub erased_blocks: u64,
 }
 
+impl std::ops::Add for GcReport {
+    type Output = GcReport;
+
+    fn add(self, other: GcReport) -> GcReport {
+        GcReport {
+            moved_pages: self.moved_pages + other.moved_pages,
+            erased_blocks: self.erased_blocks + other.erased_blocks,
+        }
+    }
+}
+
+impl std::ops::Sub for GcReport {
+    type Output = GcReport;
+
+    /// The activity between two cumulative counts (`later - earlier`).
+    fn sub(self, earlier: GcReport) -> GcReport {
+        GcReport {
+            moved_pages: self.moved_pages - earlier.moved_pages,
+            erased_blocks: self.erased_blocks - earlier.erased_blocks,
+        }
+    }
+}
+
 /// Wear-leveling summary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearReport {
@@ -125,8 +148,8 @@ pub struct Ftl {
     free_blocks: Vec<u32>,
     /// Per-channel round-robin die cursor.
     die_cursor: Vec<usize>,
-    /// GC and host-write counters.
-    gc: GcReport,
+    /// Per-channel GC counters.
+    gc: Vec<GcReport>,
 }
 
 impl Ftl {
@@ -153,7 +176,7 @@ impl Ftl {
             active_block: vec![None; geometry.total_dies()],
             free_blocks: vec![blocks_per_die as u32; geometry.total_dies()],
             die_cursor: vec![0; geometry.channels],
-            gc: GcReport::default(),
+            gc: vec![GcReport::default(); geometry.channels],
             geometry,
             policy,
             logical_pages,
@@ -451,7 +474,7 @@ impl Ftl {
                     let nb = self.flat_block(addr);
                     self.blocks[nb].valid += 1;
                     report.moved_pages += 1;
-                    self.gc.moved_pages += 1;
+                    self.gc[channel].moved_pages += 1;
                 }
             }
             // Erase the victim.
@@ -463,7 +486,7 @@ impl Ftl {
             let die = victim_block / blocks_per_die;
             self.free_blocks[die] += 1;
             report.erased_blocks += 1;
-            self.gc.erased_blocks += 1;
+            self.gc[channel].erased_blocks += 1;
             // Stop once every die on the channel has a free block again.
             let all_have_free = (0..dies).all(|d| self.free_blocks[channel * dies + d] > 0);
             if all_have_free {
@@ -473,9 +496,10 @@ impl Ftl {
     }
 
     /// Charges the flash-timing cost of a GC report to the simulator
-    /// (page read + program per moved page, erase per block), returning the
-    /// completion time. The caller picks representative addresses; GC cost
-    /// is dominated by counts, not placement.
+    /// (page read + program per moved page, erase per block) on die 0 of
+    /// `channel`, the channel that collected, returning the completion
+    /// time. Which of the channel's dies held the pages is not modelled:
+    /// GC cost is dominated by counts, not placement.
     pub fn charge_gc(
         &self,
         flash: &mut FlashSim,
@@ -503,7 +527,12 @@ impl Ftl {
 
     /// Cumulative GC activity since creation.
     pub fn gc_totals(&self) -> GcReport {
-        self.gc
+        self.gc.iter().fold(GcReport::default(), |sum, &c| sum + c)
+    }
+
+    /// Cumulative GC activity since creation, per channel.
+    pub fn gc_by_channel(&self) -> &[GcReport] {
+        &self.gc
     }
 
     /// Wear summary over all blocks.

@@ -280,15 +280,17 @@ impl SsdDevice {
         lpn: u64,
         issue: SimTime,
     ) -> Result<(PhysPageAddr, SimTime), SsdError> {
-        let erased_before = self.ftl.gc_totals().erased_blocks;
+        // A write collects garbage on its own channel only.
+        let channel = self.ftl.channel_of(lpn);
+        let erased_before = self.ftl.gc_by_channel()[channel].erased_blocks;
         let addr = self.ftl.write(lpn)?;
         let mut done = issue;
         if let Some(j) = self.journal.as_mut() {
             j.append(JournalRecord::Map { lpn });
-            let delta = self.ftl.gc_totals().erased_blocks - erased_before;
+            let delta = self.ftl.gc_by_channel()[channel].erased_blocks - erased_before;
             if delta > 0 {
                 j.append(JournalRecord::Erase {
-                    channel: self.ftl.channel_of(lpn),
+                    channel,
                     blocks: delta,
                 });
             }
