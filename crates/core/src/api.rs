@@ -277,7 +277,9 @@ pub struct Ecssd {
     pub(crate) threshold: ThresholdPolicy,
     pub(crate) queue: InputQueue,
     pub(crate) results: Vec<Prediction>,
-    /// LRU cache of recently fetched candidate FP32 rows in device DRAM.
+    /// Cache of recently fetched candidate FP32 rows in device DRAM: LRU
+    /// eviction, frequency-gated admission (a miss replaces the LRU row
+    /// only if it was looked up more often).
     pub(crate) hot_cache: HotRowCache,
     /// DRAM bytes reserved for the hot-row cache.
     pub(crate) cache_reserved: u64,

@@ -258,11 +258,13 @@ impl Ecssd {
         self.reserve_int4(int4_bytes)?;
 
         // Staleness barrier: controller DRAM is volatile, so every cached
-        // row image from before the crash is untrusted.
+        // row image from before the crash is untrusted, and the access
+        // counts are lost with it.
         let rows_now = self.categories();
         let inv_before = self.hot_cache.stats().invalidations;
         let rows = prev_rows.max(rows_now);
         self.rows.weights.invalidate(&mut self.hot_cache, rows);
+        self.hot_cache.clear_counts();
         outcome.cache_invalidations = self.hot_cache.stats().invalidations - inv_before;
 
         self.drift.reset();

@@ -26,8 +26,9 @@ impl RowRegion {
     }
 
     /// Replaces the region's rows with `rows` rows of `row_bytes`: drops
-    /// their cached images, frees their LPNs and places the new rows from
-    /// the lowest free LPN up. Returns when the last program completes.
+    /// their cached images and access counts (a new model's row ids name
+    /// new categories), frees their LPNs and places the new rows from the
+    /// lowest free LPN up. Returns when the last program completes.
     pub(crate) fn redeploy(
         &mut self,
         lpns: &mut LpnAllocator,
@@ -38,6 +39,7 @@ impl RowRegion {
         issue: SimTime,
     ) -> Result<SimTime, SsdError> {
         self.invalidate(cache, self.firsts.len());
+        cache.clear_counts();
         lpns.free.extend(self.lpns());
         lpns.free.sort_unstable_by(|a, b| b.cmp(a));
         self.pages = row_bytes.div_ceil(device.config().geometry.page_bytes as u64);

@@ -381,6 +381,8 @@ impl Ecssd {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use ecssd_screen::DenseMatrix;
     use ecssd_ssd::JournalConfig;
     use ecssd_update::UpdateBatch;
@@ -421,6 +423,97 @@ mod tests {
         assert!(words <= COLS + k + 2, "{words} words held");
         assert!(codes <= k, "{codes} INT4 codes held");
         assert!(lpns <= 1, "{lpns} LPNs held");
+    }
+
+    #[test]
+    fn access_counts_survive_a_commit_but_not_a_deploy() {
+        const COLS: usize = 32;
+        const ROWS: usize = 512;
+        let mut dev = Ecssd::new(
+            EcssdConfig::tiny_builder()
+                .hot_cache_bytes(4096)
+                .build()
+                .unwrap(),
+        );
+        dev.enable();
+        let weights = DenseMatrix::random(ROWS, COLS, 5);
+        dev.weight_deploy(&weights).unwrap();
+        let unheard = |dev: &Ecssd| (0..ROWS as u64).all(|r| dev.hot_cache.frequency(r) == 0);
+        assert!(unheard(&dev));
+        let input = |r: usize| weights.row(r).to_vec();
+        let candidates = |dev: &Ecssd, r: usize| -> BTreeSet<usize> {
+            let screener = dev.screener.as_ref().unwrap();
+            let lists = screener.screen_batch(&[input(r)], dev.threshold).unwrap();
+            lists[0].iter().copied().collect()
+        };
+        // Two inputs that share a candidate `row`, and an input that
+        // selects a row neither does; a cache that holds exactly the two
+        // inputs' candidates.
+        let first = candidates(&dev, 7);
+        let second = (8..ROWS)
+            .find(|&r| !candidates(&dev, r).is_disjoint(&first))
+            .unwrap();
+        let both: BTreeSet<usize> = first.union(&candidates(&dev, second)).copied().collect();
+        let row = *first
+            .intersection(&candidates(&dev, second))
+            .next()
+            .unwrap() as u64;
+        let cold = (0..ROWS)
+            .find(|&r| !candidates(&dev, r).is_subset(&both))
+            .unwrap();
+        dev.set_cache_capacity(both.len() as u64 * 4096).unwrap();
+        // The shared row is looked up by every batch, the others by half.
+        let warm = |dev: &mut Ecssd| {
+            for _ in 0..3 {
+                dev.classify_batch(&[input(7)], 3).unwrap();
+                dev.classify_batch(&[input(second)], 3).unwrap();
+            }
+        };
+        warm(&mut dev);
+        assert_eq!(dev.hot_cache.frequency(row), 6);
+        // A redeploy starts the count history over.
+        dev.weight_deploy(&weights).unwrap();
+        assert!(unheard(&dev));
+
+        warm(&mut dev);
+        assert_eq!(dev.hot_cache.len(), both.len(), "full");
+        let batch = UpdateBatch::new(COLS)
+            .replace(row as usize, input(row as usize))
+            .unwrap();
+        dev.stage_update(&batch).unwrap();
+        dev.commit_update().unwrap();
+        assert_eq!(
+            dev.hot_cache.len(),
+            both.len() - 1,
+            "the row was invalidated"
+        );
+        assert_eq!(
+            dev.hot_cache.frequency(row),
+            6,
+            "a replaced row keeps its count"
+        );
+        // The cold input's first new row takes the free slot; the replaced
+        // row's next miss then finds the cache full, and its count beats
+        // the least recently used row's.
+        dev.classify_batch(&[input(cold)], 3).unwrap();
+        assert_eq!(dev.hot_cache.len(), both.len());
+        let before = dev.cache_stats();
+        dev.classify_batch(&[input(7)], 3).unwrap();
+        let after = dev.cache_stats();
+        assert_eq!(
+            after.misses - before.misses,
+            1,
+            "only the replaced row missed"
+        );
+        assert_eq!(
+            (
+                after.insertions - before.insertions,
+                after.evictions - before.evictions
+            ),
+            (1, 1),
+            "the replaced row was readmitted"
+        );
+        assert!(dev.hot_cache.lookup(row));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! ECSSD's heterogeneous layout — the INT4 screener weights, plus a shared
 //! bandwidth timeline (§2.2, §4.3, §6.1: 16 GB at 12.8 GB/s).
 //!
-//! The DRAM can also host a [`HotRowCache`]: an LRU cache of recently
-//! fetched FP32 candidate rows, so repeated candidates under skewed query
-//! traffic are served from DRAM instead of re-reading NAND (the RecSSD-style
-//! device-side caching the serving engine builds on). [`RowPath::read`] is
+//! The DRAM can also host a [`HotRowCache`]: a cache of recently fetched
+//! FP32 candidate rows, evicted in LRU order and admitted by access
+//! frequency, so repeated candidates under skewed query traffic are served
+//! from DRAM instead of re-reading NAND (the RecSSD-style device-side
+//! caching the serving engine builds on). [`RowPath::read`] is
 //! the one candidate-row read through it: cache lookup, DRAM hit, flash
 //! batch read.
 
@@ -142,7 +143,8 @@ impl Dram {
     }
 }
 
-/// An LRU cache of hot candidate FP32 rows resident in device DRAM.
+/// A cache of hot candidate FP32 rows resident in device DRAM: LRU
+/// eviction behind frequency-gated admission.
 ///
 /// Keys are global weight-row ids; values only track the row's footprint in
 /// bytes (the simulator never materializes weight bytes). A capacity of 0
@@ -150,19 +152,32 @@ impl Dram {
 /// and no statistics are counted, so a disabled cache is behaviorally
 /// invisible.
 ///
-/// Every operation is O(1): resident rows are slab entries on a doubly
-/// linked recency list, found through a map keyed by a one-multiply hash
-/// of the row id. Freed slab slots are reused, so the slab never holds
-/// more entries than were ever resident at once.
+/// Admission follows TinyLFU (Einziger, Friedman and Manes, ACM ToS 2017),
+/// with exact counts in place of its sketch. Every lookup, hit or miss,
+/// bumps the row's saturating 4-bit access count; every ten times as many
+/// lookups as the rows resident when the cache last filled, every count is
+/// halved and zeros are forgotten. A row offered to a cache with room is
+/// inserted; offered to a full cache, it replaces the least recently used
+/// row only if it was looked up strictly more often, and is dropped
+/// otherwise. So a one-off scan cannot flush rows that recur.
+///
+/// Every operation is O(1) (amortized over the halvings): resident rows
+/// are slab entries on a doubly linked recency list, found through a map
+/// keyed by a one-multiply hash of the row id, and counts sit in a second
+/// map with the same hash. Freed slab slots are reused, so the slab never
+/// holds more entries than were ever resident at once.
 ///
 /// ```
 /// use ecssd_ssd::HotRowCache;
-/// let mut cache = HotRowCache::new(8192);
+/// let mut cache = HotRowCache::new(4096); // room for one row
 /// assert!(!cache.lookup(7)); // cold
 /// cache.insert(7, 4096);
 /// assert!(cache.lookup(7)); // hot: the flash fetch is skipped
 /// assert_eq!(cache.stats().hits, 1);
 /// assert_eq!(cache.stats().bytes_saved, 4096);
+/// assert!(!cache.lookup(9)); // row 9 is asked for once, row 7 twice:
+/// cache.insert(9, 4096); // not admitted
+/// assert!(cache.lookup(7));
 /// ```
 #[derive(Debug, Clone)]
 pub struct HotRowCache {
@@ -178,6 +193,14 @@ pub struct HotRowCache {
     lru: u32,
     /// Most recently used entry (`NIL` when empty).
     mru: u32,
+    /// Row id → access count, resident or not; never zero.
+    counts: HashMap<u64, u8, BuildHasherDefault<RowIdHasher>>,
+    /// Lookups since the counts were last halved.
+    sampled: u64,
+    /// Rows resident the last time an insert found the cache full (0
+    /// until then); the counts are halved every `SAMPLE_PERIOD` times as
+    /// many lookups.
+    full_rows: u64,
     hits: u64,
     misses: u64,
     bytes_saved: u64,
@@ -188,6 +211,13 @@ pub struct HotRowCache {
 
 /// The null slab link.
 const NIL: u32 = u32::MAX;
+
+/// The largest access count (counts are 4-bit).
+const MAX_COUNT: u8 = 15;
+
+/// Lookups between halvings, per row resident when full: TinyLFU's
+/// sample size.
+const SAMPLE_PERIOD: u64 = 10;
 
 /// One slab slot: a resident row and its recency neighbours.
 #[derive(Debug, Clone, Copy)]
@@ -240,6 +270,9 @@ impl HotRowCache {
             free: NIL,
             lru: NIL,
             mru: NIL,
+            counts: HashMap::default(),
+            sampled: 0,
+            full_rows: 0,
             hits: 0,
             misses: 0,
             bytes_saved: 0,
@@ -321,8 +354,9 @@ impl HotRowCache {
         true
     }
 
-    /// Looks up a row, refreshing its recency on a hit. Counts one hit or
-    /// miss (and `bytes_saved` on a hit) unless the cache is disabled.
+    /// Looks up a row, refreshing its recency on a hit. Unless the cache
+    /// is disabled, bumps the row's access count and counts one hit or
+    /// miss (and `bytes_saved` on a hit).
     ///
     /// Inlined so that a disabled cache, which the paper's machine calls
     /// once per candidate row, costs its callers no call.
@@ -332,6 +366,7 @@ impl HotRowCache {
     }
 
     fn lookup_enabled(&mut self, row: u64) -> bool {
+        self.count_access(row);
         match self.index.get(&row).copied() {
             Some(i) => {
                 self.hits += 1;
@@ -347,9 +382,40 @@ impl HotRowCache {
         }
     }
 
-    /// Inserts (or refreshes) a row of `bytes`, evicting least-recently-used
-    /// rows until it fits. Rows larger than the whole capacity are not
-    /// cached.
+    /// Bumps `row`'s access count, and halves every count once a sample
+    /// period of lookups has passed.
+    fn count_access(&mut self, row: u64) {
+        let count = self.counts.entry(row).or_insert(0);
+        *count = (*count + 1).min(MAX_COUNT);
+        self.sampled += 1;
+        if self.full_rows > 0 && self.sampled >= SAMPLE_PERIOD * self.full_rows {
+            self.sampled = 0;
+            self.counts.retain(|_, c| {
+                *c /= 2;
+                *c > 0
+            });
+        }
+    }
+
+    /// How often `row` was looked up lately: its access count, halved
+    /// once per sample period (0 when never looked up or decayed away).
+    pub fn frequency(&self, row: u64) -> u8 {
+        self.counts.get(&row).copied().unwrap_or(0)
+    }
+
+    /// Forgets every access count, for a cache whose rows now hold a
+    /// different model.
+    pub fn clear_counts(&mut self) {
+        self.counts.clear();
+        self.sampled = 0;
+    }
+
+    /// Offers a row of `bytes`: a resident row is refreshed (LRU rows,
+    /// never it, are evicted until a grown row fits), a row that fits is
+    /// inserted, and a row that does not fit replaces least-recently-used
+    /// rows only if its [`frequency`](Self::frequency) is strictly above
+    /// the least recently used row's. Rows larger than the whole capacity
+    /// are not cached.
     #[inline]
     pub fn insert(&mut self, row: u64, bytes: u64) {
         if self.is_enabled() && bytes <= self.capacity_bytes {
@@ -364,9 +430,18 @@ impl HotRowCache {
             entry.bytes = bytes;
             self.unlink(i);
             self.push_mru(i);
+            while self.resident_bytes > self.capacity_bytes && self.evict_lru() {}
             return;
         }
-        while self.resident_bytes + bytes > self.capacity_bytes && self.evict_lru() {}
+        if self.resident_bytes + bytes > self.capacity_bytes {
+            // Full: `bytes` fits the capacity, so some row is resident.
+            self.full_rows = self.index.len() as u64;
+            let victim = self.slab[self.lru as usize].row;
+            if self.frequency(row) <= self.frequency(victim) {
+                return;
+            }
+            while self.resident_bytes + bytes > self.capacity_bytes && self.evict_lru() {}
+        }
         self.insertions += 1;
         let entry = Entry {
             row,
@@ -434,7 +509,8 @@ impl HotRowCache {
         }
     }
 
-    /// Clears the resident rows and counters (capacity is preserved).
+    /// Clears the resident rows, access counts and counters (capacity is
+    /// preserved).
     pub fn reset(&mut self) {
         let capacity = self.capacity_bytes;
         *self = HotRowCache::new(capacity);
@@ -638,14 +714,78 @@ mod tests {
     fn lru_evicts_the_coldest_row() {
         let mut c = HotRowCache::new(3 * 4096);
         for row in 0..3 {
+            assert!(!c.lookup(row));
             c.insert(row, 4096);
         }
-        assert!(c.lookup(0)); // refresh row 0: row 1 is now coldest
+        // Refresh row 0: row 1 is now coldest. Row 3 misses twice, so it
+        // outranks row 1 (looked up once).
+        assert!(c.lookup(0));
+        assert!(!c.lookup(3) && !c.lookup(3));
         c.insert(3, 4096);
         assert!(!c.lookup(1), "coldest row was evicted");
         assert!(c.lookup(0) && c.lookup(2) && c.lookup(3));
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.resident_bytes(), 3 * 4096);
+    }
+
+    #[test]
+    fn a_scan_does_not_flush_the_hot_set() {
+        let mut c = HotRowCache::new(4 * 4096);
+        // Each batch asks for the four hot rows and four rows of a scan
+        // that never recur. A plain LRU would cache every scan row and miss
+        // every hot row from the second batch on; here each scan row is
+        // offered to the full cache and dropped.
+        for batch in 0..25 {
+            for row in 0..4 {
+                let hit = c.lookup(row);
+                assert_eq!(hit, batch > 0, "batch {batch} row {row}");
+                if !hit {
+                    c.insert(row, 4096);
+                }
+            }
+            for row in 100 + 4 * batch..104 + 4 * batch {
+                assert!(!c.lookup(row));
+                c.insert(row, 4096);
+            }
+        }
+        let s = c.stats();
+        assert_eq!((s.insertions, s.evictions), (4, 0));
+    }
+
+    #[test]
+    fn a_grown_refresh_evicts_other_rows_until_it_fits() {
+        let mut c = HotRowCache::new(3 * 4096);
+        for row in 0..3 {
+            assert!(!c.lookup(row));
+            c.insert(row, 4096);
+        }
+        c.insert(2, 2 * 4096); // row 2 grows: row 0, the coldest, goes
+        assert_eq!(c.resident_bytes(), 3 * 4096);
+        assert_eq!(c.stats().evictions, 1);
+        assert!(!c.lookup(0) && c.lookup(1) && c.lookup(2));
+        c.insert(2, 3 * 4096); // grows to the whole capacity: row 1 goes
+        assert_eq!((c.len(), c.resident_bytes()), (1, 3 * 4096));
+        assert!(c.lookup(2));
+    }
+
+    #[test]
+    fn counts_halve_every_sample_period_and_clear_on_request() {
+        let mut c = HotRowCache::new(2 * 4096);
+        for row in 0..2 {
+            assert!(!c.lookup(row));
+            c.insert(row, 4096);
+        }
+        assert!(!c.lookup(9));
+        c.insert(9, 4096); // full with 2 rows: the period is 20 lookups
+        for _ in 0..16 {
+            assert!(c.lookup(0));
+        }
+        assert_eq!((c.frequency(0), c.frequency(1)), (15, 1), "saturated at 15");
+        assert!(c.lookup(0)); // the 20th lookup: every count halves
+        assert_eq!((c.frequency(0), c.frequency(1), c.frequency(9)), (7, 0, 0));
+        c.clear_counts();
+        assert_eq!(c.frequency(0), 0);
+        assert!(c.lookup(1), "clearing counts keeps the rows");
     }
 
     #[test]
@@ -723,11 +863,17 @@ mod tests {
         // An invalidated row must leave the recency order, so a later
         // eviction takes the coldest row still resident.
         let mut c = HotRowCache::new(2 * 4096);
-        c.insert(1, 4096);
-        c.insert(2, 4096);
-        c.invalidate_rows(&[1]);
-        c.insert(3, 4096); // fits without eviction
-        c.insert(4, 4096); // must evict row 2 (coldest live row)
+        for row in 1..=3 {
+            assert!(!c.lookup(row));
+            c.insert(row, 4096);
+            if row == 2 {
+                c.invalidate_rows(&[1]);
+            }
+        }
+        // Row 3 fit without eviction; row 4, looked up more often than
+        // row 2, must evict row 2 (coldest live row).
+        assert!(!c.lookup(4) && !c.lookup(4));
+        c.insert(4, 4096);
         assert!(!c.lookup(2));
         assert!(c.lookup(3) && c.lookup(4));
         assert_eq!(c.resident_bytes(), 2 * 4096);
@@ -738,7 +884,11 @@ mod tests {
         let mut c = HotRowCache::new(64 * 4096);
         for i in 0..10_000u64 {
             let row = (i % 97) << 33;
-            c.insert(row, 4096);
+            // Offered on every miss, a recurring row is admitted once it
+            // has been asked for more often than the row it replaces.
+            while !c.lookup(row) {
+                c.insert(row, 4096);
+            }
             assert!(c.lookup(row));
             if i % 7 == 0 {
                 c.invalidate_rows(&[row]);
@@ -746,5 +896,6 @@ mod tests {
         }
         assert!(c.len() <= 64);
         assert!(c.slab.len() <= 64, "slab length {}", c.slab.len());
+        assert!(c.stats().evictions > 8_000, "slots were freed and reused");
     }
 }

@@ -1,9 +1,11 @@
 //! Differential property test of the hot-row cache: the O(1) slab LRU
-//! against the lazy-queue LRU it replaced, kept here as the reference. On
-//! random lookup, insert, invalidate, resize and reset sequences over row
-//! ids above `u32::MAX`, both must report the same hit or miss on every
-//! lookup and the same counters, resident bytes and row count after every
-//! step.
+//! against the lazy-queue LRU it replaced, kept here as the reference,
+//! both behind the same frequency-gated admission (the reference keeps
+//! its own plain counts). On random lookup, insert, invalidate, resize,
+//! count-clearing and reset sequences over row ids above `u32::MAX`, both
+//! must report the same hit or miss on every lookup and the same
+//! counters, resident bytes, row count and access counts after every
+//! step, and neither may hold more bytes than its capacity.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -15,7 +17,9 @@ use proptest::prelude::*;
 /// The lazy-queue LRU: a map of row → (bytes, sequence of the latest
 /// touch) and a queue of `(row, seq)` pairs in touch order, where a pair
 /// whose `seq` no longer matches the entry is stale and skipped on
-/// eviction.
+/// eviction. Admission: every lookup bumps a count that saturates at 15,
+/// after `10 × full_rows` lookups all counts halve, and a row that does
+/// not fit is inserted only if its count beats the LRU row's.
 #[derive(Debug, Default)]
 struct LazyLru {
     capacity_bytes: u64,
@@ -23,6 +27,11 @@ struct LazyLru {
     entries: HashMap<u64, (u64, u64)>,
     order: VecDeque<(u64, u64)>,
     seq: u64,
+    counts: HashMap<u64, u8>,
+    /// Lookups since the counts last halved.
+    lookups: u64,
+    /// Rows resident when an insert last found the cache full.
+    full_rows: u64,
     stats: CacheStats,
 }
 
@@ -45,16 +54,32 @@ impl LazyLru {
         }
     }
 
+    fn is_live(&self, (row, seq): (u64, u64)) -> bool {
+        self.entries.get(&row).is_some_and(|&(_, live)| live == seq)
+    }
+
+    /// The least recently used resident row, dropping stale pairs ahead
+    /// of it.
+    fn victim(&mut self) -> Option<u64> {
+        while let Some(&front) = self.order.front() {
+            if self.is_live(front) {
+                return Some(front.0);
+            }
+            self.order.pop_front();
+        }
+        None
+    }
+
+    fn count(&self, row: u64) -> u8 {
+        self.counts.get(&row).copied().unwrap_or(0)
+    }
+
     fn evict_one(&mut self) -> bool {
-        let Some((victim, seq)) = self.order.pop_front() else {
+        let Some(pair) = self.order.pop_front() else {
             return false;
         };
-        if self
-            .entries
-            .get(&victim)
-            .is_some_and(|&(_, live)| live == seq)
-        {
-            let (bytes, _) = self.entries.remove(&victim).unwrap();
+        if self.is_live(pair) {
+            let (bytes, _) = self.entries.remove(&pair.0).unwrap();
             self.resident_bytes -= bytes;
             self.stats.evictions += 1;
         }
@@ -64,6 +89,16 @@ impl LazyLru {
     fn lookup(&mut self, row: u64) -> bool {
         if self.capacity_bytes == 0 {
             return false;
+        }
+        let count = self.counts.entry(row).or_default();
+        *count = (*count + 1).min(15);
+        self.lookups += 1;
+        if self.full_rows > 0 && self.lookups >= 10 * self.full_rows {
+            self.lookups = 0;
+            for count in self.counts.values_mut() {
+                *count /= 2;
+            }
+            self.counts.retain(|_, count| *count > 0);
         }
         match self.entries.get(&row).copied() {
             Some((bytes, _)) => {
@@ -87,9 +122,17 @@ impl LazyLru {
             self.resident_bytes -= old;
             self.touch(row, bytes);
             self.resident_bytes += bytes;
+            while self.resident_bytes > self.capacity_bytes && self.evict_one() {}
             return;
         }
-        while self.resident_bytes + bytes > self.capacity_bytes && self.evict_one() {}
+        if self.resident_bytes + bytes > self.capacity_bytes {
+            self.full_rows = self.entries.len() as u64;
+            let victim = self.victim().unwrap();
+            if self.count(row) <= self.count(victim) {
+                return;
+            }
+            while self.resident_bytes + bytes > self.capacity_bytes && self.evict_one() {}
+        }
         self.stats.insertions += 1;
         self.touch(row, bytes);
         self.resident_bytes += bytes;
@@ -127,6 +170,7 @@ enum Op {
     Insert(u64, u64),
     Invalidate(Vec<u64>),
     SetCapacity(u64),
+    ClearCounts,
     Reset,
 }
 
@@ -149,6 +193,7 @@ fn op() -> impl Strategy<Value = Op> {
         8 => (row(), bytes()).prop_map(|(r, b)| Op::Insert(r, b)),
         2 => prop::collection::vec(row(), 0..4).prop_map(Op::Invalidate),
         1 => capacity().prop_map(Op::SetCapacity),
+        1 => Just(Op::ClearCounts),
         1 => Just(Op::Reset),
     ]
 }
@@ -178,13 +223,24 @@ proptest! {
                     cache.set_capacity(*c);
                     reference.set_capacity(*c);
                 }
+                Op::ClearCounts => {
+                    cache.clear_counts();
+                    reference.counts.clear();
+                    reference.lookups = 0;
+                }
                 Op::Reset => {
                     cache.reset();
                     reference = LazyLru::new(reference.capacity_bytes);
                 }
             }
-            prop_assert_eq!(cache.stats(), reference.stats(), "step {}", step);
+            let stats = cache.stats();
+            prop_assert_eq!(stats, reference.stats(), "step {}", step);
+            prop_assert!(stats.resident_bytes <= stats.capacity_bytes, "step {}: {:?}", step, stats);
             prop_assert_eq!(cache.len(), reference.entries.len(), "step {}", step);
+            for r in 0..24 {
+                let row = (r << 32) | (r * 7 + 3);
+                prop_assert_eq!(cache.frequency(row), reference.count(row), "step {}", step);
+            }
         }
         // The survivors are the same rows.
         for &row in reference.entries.keys() {
