@@ -4,9 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ecssd_core::{Ecssd, EcssdConfig};
 use ecssd_screen::DenseMatrix;
-use ecssd_ssd::{
-    AllocationPolicy, FlashSim, FlashTiming, Ftl, HotRowCache, PhysPageAddr, SimTime, SsdGeometry,
-};
+use ecssd_ssd::{FlashSim, FlashTiming, Ftl, HotRowCache, PhysPageAddr, SimTime, SsdGeometry};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
@@ -33,7 +31,7 @@ fn bench_ftl_writes(c: &mut Criterion) {
     // The tiny geometry exports 1536 logical pages at 25% overprovisioning.
     c.bench_function("ftl_write_1500_lpns", |b| {
         b.iter(|| {
-            let mut ftl = Ftl::new(SsdGeometry::tiny(), AllocationPolicy::Striped, 0.25);
+            let mut ftl = Ftl::new(SsdGeometry::tiny(), 0.25);
             for lpn in 0..1500u64 {
                 ftl.write(black_box(lpn)).unwrap();
             }

@@ -14,8 +14,7 @@ use ecssd_core::scale::{ScaleOutPlan, ScaleOutRun};
 use ecssd_core::{AcceleratorConfig, EcssdConfig, RunReport, TaskKind};
 use ecssd_float::{AcceleratorEstimate, AreaPower};
 use ecssd_ssd::{
-    AllocationPolicy, CacheStats, DieWearReport, FlashTiming, HealthReport, ImbalanceReport,
-    SsdConfig, SsdGeometry,
+    CacheStats, DieWearReport, FlashTiming, HealthReport, ImbalanceReport, SsdConfig, SsdGeometry,
 };
 use ecssd_trace::json::Value;
 use ecssd_trace::{Bandwidth, SimTime, Stage, StageBreakdown, StageEntry};
@@ -123,7 +122,6 @@ macro_rules! unit_enums {
 
 unit_enums! {
     TaskKind { Classification, EmbeddingGather }
-    AllocationPolicy { Striped, RangePartitioned }
     Stage {
         HostLink,
         DramTransfer,
@@ -180,7 +178,6 @@ objects! {
     SsdConfig {
         geometry,
         timing,
-        policy,
         overprovision,
         dram_bytes,
         dram_gbps,

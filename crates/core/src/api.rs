@@ -510,8 +510,9 @@ impl Ecssd {
         if self.staged.is_some() {
             self.abort_update()?;
         }
-        // Place rows through the FTL from the lowest free LPN, LPN 0 up
-        // (the machine-level layout studies live in EcssdMachine).
+        // Place rows from the lowest free LPN, LPN 0 up; the FTL stripes
+        // them over channels. Only `EcssdMachine` places rows by the
+        // learned layout.
         let old_firsts = self.rows.weights.firsts.clone();
         self.clock = self.rows.weights.redeploy(
             &mut self.rows.lpns,

@@ -8,6 +8,7 @@
 //! with such a schedule and reports the latency distribution.
 
 use ecssd_ssd::SimTime;
+use ecssd_trace::Timeline;
 
 use crate::EcssdMachine;
 
@@ -85,7 +86,9 @@ impl ServiceReport {
 /// The device serves batches in order; a batch's service begins when both
 /// it has arrived and the previous batch finished (the accelerator works on
 /// one query batch's tile stream at a time from the host's perspective).
-/// Service time per batch is taken from a steady-state pipeline window.
+/// Service time per batch is taken from a steady-state pipeline window and
+/// rounded once to whole nanoseconds; the batches queue on one
+/// [`Timeline`].
 #[derive(Debug)]
 pub struct HostCoordinator {
     schedule: ArrivalSchedule,
@@ -116,21 +119,18 @@ impl HostCoordinator {
         assert!(batches > 0, "need at least one batch");
         // Measure the per-batch service time once in steady state.
         let probe = machine.run_window(2, max_tiles)?;
-        let service_ns = probe.ns_per_query();
-        let mut free_at = 0.0f64;
-        let mut latencies = Vec::with_capacity(batches);
-        let mut last_done = SimTime::ZERO;
-        for i in 0..batches {
-            let arrival = self.schedule.arrival(i);
-            let start = (arrival.as_ns() as f64).max(free_at);
-            let done = start + service_ns;
-            free_at = done;
-            latencies.push((done - arrival.as_ns() as f64) as u64);
-            last_done = SimTime::from_ns(done as u64);
-        }
+        let service_ns = probe.ns_per_query().round() as u64;
+        let mut device = Timeline::default();
+        let latencies = (0..batches)
+            .map(|i| {
+                let arrival = self.schedule.arrival(i);
+                let (_, done) = device.occupy(arrival, service_ns);
+                done.as_ns() - arrival.as_ns()
+            })
+            .collect();
         Ok(ServiceReport {
             latencies_ns: latencies,
-            makespan: last_done,
+            makespan: device.free_at(),
         })
     }
 }

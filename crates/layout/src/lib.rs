@@ -15,11 +15,11 @@
 //!   fine-tuned by candidate frequencies observed on a training trace, and
 //!   dealt across channels so every channel carries the same expected load.
 //!
-//! The framework emits per-tile [`TileLayout`]s (row → channel) and, for
-//! the deployment path, logical page numbers inside each channel's
-//! range-partitioned LPN window so the stock FTL places rows exactly where
-//! the framework decided (§5.3: the framework "only needs to assign a
-//! logical address from the specified logical address range").
+//! The framework emits per-tile [`TileLayout`]s (row → channel), and that
+//! is the one rule for which channel holds a row of the paper's machine:
+//! the machine places each row's pages on its `TileLayout` channel
+//! directly (`ecssd_ssd::PhysPageAddr::of_row_page`). The serving device's
+//! FTL takes no part in the choice; it only stripes (`lpn % channels`).
 //!
 //! Above the device, [`ShardMap`] decides which device holds which rows
 //! when a layer is partitioned over several ECSSDs (§7.1).
@@ -28,14 +28,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-mod deploy;
 mod grade;
 mod metrics;
 mod parity;
 mod shard;
 mod strategy;
 
-pub use deploy::DeploymentPlanner;
 pub use grade::{grade_rows, GradeConfig, HotGrade};
 pub use metrics::channel_loads;
 pub use parity::ParityScheme;

@@ -1,13 +1,14 @@
 //! The flash translation layer (§2.2): logical-to-physical mapping, write
 //! allocation, garbage collection, and wear accounting.
 //!
-//! The FTL is the hook the learning-based interleaving framework uses:
-//! "the firmware of the embedded processor allocates a specific range of
-//! logical addresses to each flash channel. The framework only needs to
-//! assign a logical address from the specified logical address range to the
-//! specific 32-bit weight vector" (§5.3). [`AllocationPolicy`] selects how
-//! logical page numbers map to channels; within a channel the FTL spreads
-//! writes over dies and allocates blocks log-structured.
+//! The FTL only stripes: logical page `lpn` lives on channel
+//! `lpn % channels`, the conventional allocation that makes sequential
+//! host I/O fast and the mapping of the *uniform interleaving* method
+//! (§5.2, Fig. 6). Within a channel it spreads writes over dies and
+//! allocates blocks log-structured. Which channel holds a weight row in the
+//! paper's machine is not the FTL's decision: the learned layout
+//! (`ecssd_layout::TileLayout`) picks it, and [`PhysPageAddr::of_row_page`]
+//! places the row there directly.
 //!
 //! Blocks are numbered plane-major within a die. When a die opens a fresh
 //! block it takes the least-worn free block, and among equally worn ones
@@ -18,41 +19,6 @@
 //! each plane of a die into one sense, can overlap their tR.
 
 use crate::{FlashSim, PhysPageAddr, SimTime, SsdError, SsdGeometry};
-
-/// How logical page numbers are distributed over channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AllocationPolicy {
-    /// Consecutive LPNs rotate over channels (`channel = lpn % channels`).
-    /// This is the conventional striping that makes sequential host I/O
-    /// fast, and the mapping used by the *uniform interleaving* method
-    /// (§5.2, Fig. 6).
-    Striped,
-    /// The logical space is divided into one contiguous range per channel
-    /// (`channel = lpn / (logical_pages / channels)`). Sequentially written
-    /// data lands sequentially in one channel — the *sequential storing*
-    /// method (§5.1) — while a placement framework can target any channel
-    /// by picking an LPN inside its range (§5.3).
-    RangePartitioned,
-}
-
-impl AllocationPolicy {
-    /// Channel that owns `lpn` under this policy.
-    pub fn channel_of(self, lpn: u64, logical_pages: u64, channels: usize) -> usize {
-        match self {
-            AllocationPolicy::Striped => (lpn % channels as u64) as usize,
-            AllocationPolicy::RangePartitioned => {
-                let per = logical_pages.div_ceil(channels as u64);
-                ((lpn / per) as usize).min(channels - 1)
-            }
-        }
-    }
-
-    /// First LPN of `channel`'s range under [`AllocationPolicy::RangePartitioned`].
-    pub fn range_start(self, channel: usize, logical_pages: u64, channels: usize) -> u64 {
-        let per = logical_pages.div_ceil(channels as u64);
-        channel as u64 * per
-    }
-}
 
 /// Per-block bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +100,6 @@ const UNMAPPED: u64 = u64::MAX;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ftl {
     geometry: SsdGeometry,
-    policy: AllocationPolicy,
     logical_pages: u64,
     /// LPN → flat physical page index.
     l2p: Vec<u64>,
@@ -158,7 +123,7 @@ impl Ftl {
     /// # Panics
     ///
     /// Panics if `overprovision` is not in `[0, 0.5]`.
-    pub fn new(geometry: SsdGeometry, policy: AllocationPolicy, overprovision: f64) -> Self {
+    pub fn new(geometry: SsdGeometry, overprovision: f64) -> Self {
         assert!(
             (0.0..=0.5).contains(&overprovision),
             "overprovision {overprovision} out of range"
@@ -178,14 +143,8 @@ impl Ftl {
             die_cursor: vec![0; geometry.channels],
             gc: vec![GcReport::default(); geometry.channels],
             geometry,
-            policy,
             logical_pages,
         }
-    }
-
-    /// FTL with the paper's default 7 % overprovisioning.
-    pub fn paper_default(geometry: SsdGeometry, policy: AllocationPolicy) -> Self {
-        Ftl::new(geometry, policy, 0.07)
     }
 
     /// Exported logical pages.
@@ -193,15 +152,9 @@ impl Ftl {
         self.logical_pages
     }
 
-    /// The channel policy.
-    pub fn policy(&self) -> AllocationPolicy {
-        self.policy
-    }
-
-    /// Channel that owns `lpn` under the active policy.
+    /// Channel that owns `lpn`: consecutive LPNs rotate over channels.
     pub fn channel_of(&self, lpn: u64) -> usize {
-        self.policy
-            .channel_of(lpn, self.logical_pages, self.geometry.channels)
+        (lpn % self.geometry.channels as u64) as usize
     }
 
     fn check_lpn(&self, lpn: u64) -> Result<(), SsdError> {
@@ -235,9 +188,9 @@ impl Ftl {
     /// [`FlashSim::program_page`].
     ///
     /// ```
-    /// use ecssd_ssd::{AllocationPolicy, Ftl, SsdGeometry};
+    /// use ecssd_ssd::{Ftl, SsdGeometry};
     /// # fn main() -> Result<(), ecssd_ssd::SsdError> {
-    /// let mut ftl = Ftl::new(SsdGeometry::tiny(), AllocationPolicy::Striped, 0.25);
+    /// let mut ftl = Ftl::new(SsdGeometry::tiny(), 0.25);
     /// let addr = ftl.write(5)?;
     /// assert_eq!(ftl.translate(5)?, addr);
     /// assert_eq!(addr.channel, 5 % 4); // striped over 4 channels
@@ -654,13 +607,13 @@ fn div_rem(x: u64, d: usize) -> (u64, u64) {
 mod tests {
     use super::*;
 
-    fn ftl(policy: AllocationPolicy) -> Ftl {
-        Ftl::new(SsdGeometry::tiny(), policy, 0.25)
+    fn ftl() -> Ftl {
+        Ftl::new(SsdGeometry::tiny(), 0.25)
     }
 
     #[test]
     fn write_then_read_round_trips() {
-        let mut f = ftl(AllocationPolicy::Striped);
+        let mut f = ftl();
         let a = f.write(10).unwrap();
         assert_eq!(f.translate(10).unwrap(), a);
         assert_eq!(f.mapped_pages(), 1);
@@ -668,7 +621,7 @@ mod tests {
 
     #[test]
     fn unmapped_read_is_an_error() {
-        let f = ftl(AllocationPolicy::Striped);
+        let f = ftl();
         assert_eq!(f.translate(3), Err(SsdError::Unmapped { lpn: 3 }));
         assert!(matches!(
             f.translate(u64::MAX),
@@ -678,7 +631,7 @@ mod tests {
 
     #[test]
     fn striped_policy_rotates_channels() {
-        let mut f = ftl(AllocationPolicy::Striped);
+        let mut f = ftl();
         for lpn in 0..8 {
             let a = f.write(lpn).unwrap();
             assert_eq!(a.channel, (lpn % 4) as usize);
@@ -686,24 +639,8 @@ mod tests {
     }
 
     #[test]
-    fn range_partitioned_policy_fills_one_channel() {
-        let mut f = ftl(AllocationPolicy::RangePartitioned);
-        let per = f.logical_pages().div_ceil(4);
-        for lpn in 0..8 {
-            let a = f.write(lpn).unwrap();
-            assert_eq!(a.channel, 0, "low LPNs stay in channel 0");
-        }
-        let a = f.write(per).unwrap();
-        assert_eq!(a.channel, 1, "next range lands in channel 1");
-        assert_eq!(
-            AllocationPolicy::RangePartitioned.range_start(1, f.logical_pages(), 4),
-            per
-        );
-    }
-
-    #[test]
     fn overwrite_invalidates_old_page() {
-        let mut f = ftl(AllocationPolicy::Striped);
+        let mut f = ftl();
         let a1 = f.write(5).unwrap();
         let a2 = f.write(5).unwrap();
         assert_ne!(a1, a2, "log-structured: new page on overwrite");
@@ -713,7 +650,7 @@ mod tests {
 
     #[test]
     fn trim_unmaps() {
-        let mut f = ftl(AllocationPolicy::Striped);
+        let mut f = ftl();
         f.write(7).unwrap();
         f.trim(7).unwrap();
         assert_eq!(f.translate(7), Err(SsdError::Unmapped { lpn: 7 }));
@@ -723,7 +660,7 @@ mod tests {
 
     #[test]
     fn writes_spread_over_dies() {
-        let mut f = ftl(AllocationPolicy::Striped);
+        let mut f = ftl();
         let a0 = f.write(0).unwrap(); // channel 0
         let a4 = f.write(4).unwrap(); // channel 0 again
         assert_ne!(a0.die, a4.die, "round-robin over the channel's dies");
@@ -733,7 +670,7 @@ mod tests {
     fn fresh_blocks_rotate_over_a_dies_planes() {
         // Striped over 4 channels: LPN 4·i lands on channel 0, whose 2
         // dies take its writes in turn, so each die gets 2·n fresh writes.
-        let mut f = ftl(AllocationPolicy::Striped);
+        let mut f = ftl();
         let g = SsdGeometry::tiny();
         let n = g.pages_per_block * g.blocks_per_plane / 2;
         let mut per_plane = vec![vec![0usize; g.planes_per_die]; g.dies_per_channel];
@@ -750,7 +687,7 @@ mod tests {
     fn overwrite_churn_triggers_gc_and_survives() {
         // Tiny geometry: channel 0 under striping owns 1/4 of LPNs. Write a
         // working set repeatedly until the log wraps; GC must reclaim.
-        let mut f = ftl(AllocationPolicy::Striped);
+        let mut f = ftl();
         let working_set: Vec<u64> = (0..32).map(|i| i * 4).collect(); // all channel 0
         for _round in 0..40 {
             for &lpn in &working_set {
@@ -770,9 +707,9 @@ mod tests {
 
     #[test]
     fn device_full_is_reported() {
-        // Fill the entire exported space of one channel's range, then keep
-        // writing fresh LPNs of that channel beyond capacity.
-        let mut f = Ftl::new(SsdGeometry::tiny(), AllocationPolicy::Striped, 0.0);
+        // Write every exported LPN, then keep writing past the end of the
+        // logical space.
+        let mut f = Ftl::new(SsdGeometry::tiny(), 0.0);
         let mut result = Ok(());
         let mut lpn = 0;
         'outer: for _ in 0..f.logical_pages() + 8 {
@@ -795,7 +732,7 @@ mod tests {
     #[test]
     fn gc_charge_produces_time() {
         let g = SsdGeometry::tiny();
-        let f = Ftl::new(g, AllocationPolicy::Striped, 0.25);
+        let f = Ftl::new(g, 0.25);
         let mut flash = FlashSim::new(g, crate::FlashTiming::paper_default());
         let report = GcReport {
             moved_pages: 2,
@@ -815,7 +752,7 @@ mod tests {
             pages_per_block: 6,
             page_bytes: 4096,
         };
-        let f = Ftl::new(g, AllocationPolicy::Striped, 0.25);
+        let f = Ftl::new(g, 0.25);
         for flat in 0..g.total_pages() {
             assert_eq!(f.flatten_page(f.unflatten_page(flat)), flat);
         }
@@ -823,7 +760,7 @@ mod tests {
 
     #[test]
     fn flatten_round_trips() {
-        let f = ftl(AllocationPolicy::Striped);
+        let f = ftl();
         let a = PhysPageAddr {
             channel: 3,
             die: 1,

@@ -549,12 +549,12 @@ impl PowerLossInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllocationPolicy, FlashTiming, SsdGeometry};
+    use crate::{FlashTiming, SsdGeometry};
 
     fn setup() -> (Ftl, FlashSim) {
         let g = SsdGeometry::tiny();
         (
-            Ftl::new(g, AllocationPolicy::Striped, 0.25),
+            Ftl::new(g, 0.25),
             FlashSim::new(g, FlashTiming::paper_default()),
         )
     }

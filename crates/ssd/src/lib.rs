@@ -9,9 +9,8 @@
 //! * **Flash timing**: per-die read/program/erase latencies and per-channel
 //!   NVDDR3 bus bandwidth (1 GB/s per channel); dies on a channel operate
 //!   concurrently, the bus serializes transfers ([`FlashSim`]).
-//! * **FTL** (§2.2): logical-to-physical page mapping, write allocation with
-//!   pluggable channel policies (the hook the learning-based interleaving
-//!   framework uses, §5.3), greedy garbage collection, and wear accounting
+//! * **FTL** (§2.2): logical-to-physical page mapping, write allocation
+//!   striped over channels, greedy garbage collection, and wear accounting
 //!   ([`Ftl`]).
 //! * **DRAM**: a bandwidth/capacity model for the 16 GB device DRAM that
 //!   holds the L2P table and — in ECSSD's heterogeneous layout — the INT4
@@ -57,7 +56,7 @@ pub use dram::{Dram, HotRowCache, RowPath, RowRead, RowReadScratch};
 pub use error::SsdError;
 pub use fault::{FaultDecision, FaultInjector, FaultPlan};
 pub use flash::{BatchRead, BatchSense, FailedRead, FlashSim, FlashTiming, PageReadResult};
-pub use ftl::{AllocationPolicy, Ftl, GcReport, WearReport};
+pub use ftl::{Ftl, GcReport, WearReport};
 pub use geometry::{PhysPageAddr, SsdGeometry};
 pub use host::HostInterface;
 pub use journal::{

@@ -4,9 +4,8 @@
 //! product").
 
 use crate::{
-    AllocationPolicy, Dram, FlashSim, FlashTiming, Ftl, HostInterface, JournalConfig,
-    JournalRecord, MetadataJournal, PhysPageAddr, PingPongBuffer, RecoveryReport, ScrubReport,
-    SimTime, SsdError, SsdGeometry,
+    Dram, FlashSim, FlashTiming, Ftl, HostInterface, JournalConfig, JournalRecord, MetadataJournal,
+    PhysPageAddr, PingPongBuffer, RecoveryReport, ScrubReport, SimTime, SsdError, SsdGeometry,
 };
 
 /// Full device configuration (Table 2).
@@ -16,8 +15,6 @@ pub struct SsdConfig {
     pub geometry: SsdGeometry,
     /// Flash timing parameters.
     pub timing: FlashTiming,
-    /// LPN → channel policy.
-    pub policy: AllocationPolicy,
     /// Overprovisioned fraction of raw capacity.
     pub overprovision: f64,
     /// Device DRAM capacity in bytes.
@@ -38,7 +35,6 @@ impl SsdConfig {
         SsdConfig {
             geometry: SsdGeometry::paper_default(),
             timing: FlashTiming::paper_default(),
-            policy: AllocationPolicy::Striped,
             overprovision: 0.07,
             dram_bytes: 16 << 30,
             dram_gbps: 12.8,
@@ -52,7 +48,6 @@ impl SsdConfig {
         SsdConfig {
             geometry: SsdGeometry::tiny(),
             timing: FlashTiming::paper_default(),
-            policy: AllocationPolicy::Striped,
             overprovision: 0.25,
             dram_bytes: 64 << 20,
             dram_gbps: 12.8,
@@ -93,7 +88,7 @@ impl SsdDevice {
     /// Panics if the configured DRAM cannot hold the L2P table.
     pub fn new(config: SsdConfig) -> Self {
         let flash = FlashSim::new(config.geometry, config.timing);
-        let ftl = Ftl::new(config.geometry, config.policy, config.overprovision);
+        let ftl = Ftl::new(config.geometry, config.overprovision);
         let mut dram = Dram::new(
             config.dram_bytes,
             crate::Bandwidth::from_gbps(config.dram_gbps),

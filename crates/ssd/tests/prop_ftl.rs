@@ -5,8 +5,7 @@
 use std::collections::HashMap;
 
 use ecssd_ssd::{
-    AllocationPolicy, FlashSim, FlashTiming, Ftl, JournalConfig, JournalRecord, MetadataJournal,
-    SimTime, SsdGeometry,
+    FlashSim, FlashTiming, Ftl, JournalConfig, JournalRecord, MetadataJournal, SimTime, SsdGeometry,
 };
 use proptest::prelude::*;
 
@@ -45,7 +44,7 @@ fn jop_strategy(lpns: u64, channels: usize) -> impl Strategy<Value = JOp> {
 /// group-commit cadence. Returns the live FTL and the journal.
 fn run_journaled(ops: &[JOp], group_commit: usize) -> (Ftl, MetadataJournal) {
     let geometry = SsdGeometry::tiny();
-    let mut ftl = Ftl::new(geometry, AllocationPolicy::Striped, 0.25);
+    let mut ftl = Ftl::new(geometry, 0.25);
     let mut flash = FlashSim::new(geometry, FlashTiming::paper_default());
     let mut journal = MetadataJournal::new(
         JournalConfig {
@@ -108,20 +107,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// After any sequence of writes and trims: every mapped LPN translates
-    /// to a unique in-range physical page on the channel its policy
-    /// dictates, and the mapped count equals the live-set size.
+    /// to a unique in-range physical page on channel `lpn % channels`, and
+    /// the mapped count equals the live-set size.
     #[test]
-    fn mapping_invariants_hold(
-        ops in prop::collection::vec(op_strategy(200), 1..400),
-        striped in any::<bool>(),
-    ) {
+    fn mapping_invariants_hold(ops in prop::collection::vec(op_strategy(200), 1..400)) {
         let geometry = SsdGeometry::tiny();
-        let policy = if striped {
-            AllocationPolicy::Striped
-        } else {
-            AllocationPolicy::RangePartitioned
-        };
-        let mut ftl = Ftl::new(geometry, policy, 0.25);
+        let mut ftl = Ftl::new(geometry, 0.25);
         let mut live: HashMap<u64, ()> = HashMap::new();
         for op in &ops {
             match *op {
@@ -140,7 +131,11 @@ proptest! {
         for &lpn in live.keys() {
             let addr = ftl.translate(lpn).unwrap();
             prop_assert!(geometry.contains(addr), "address out of range");
-            prop_assert_eq!(addr.channel, ftl.channel_of(lpn), "policy violated");
+            prop_assert_eq!(
+                addr.channel,
+                (lpn % geometry.channels as u64) as usize,
+                "striping violated"
+            );
             prop_assert!(seen.insert(addr), "two LPNs share a physical page");
         }
     }
@@ -150,7 +145,7 @@ proptest! {
     #[test]
     fn gc_preserves_mappings(seed in 0u64..1000) {
         let geometry = SsdGeometry::tiny();
-        let mut ftl = Ftl::new(geometry, AllocationPolicy::Striped, 0.25);
+        let mut ftl = Ftl::new(geometry, 0.25);
         let lpns: Vec<u64> = (0..48).map(|i| (i * 7 + seed % 5) % 96).collect();
         for round in 0..30 {
             for &lpn in &lpns {
@@ -174,7 +169,7 @@ proptest! {
     /// Unwritten LPNs always fail translation, written ones always succeed.
     #[test]
     fn translate_matches_write_history(writes in prop::collection::hash_set(0u64..100, 0..50)) {
-        let mut ftl = Ftl::new(SsdGeometry::tiny(), AllocationPolicy::Striped, 0.25);
+        let mut ftl = Ftl::new(SsdGeometry::tiny(), 0.25);
         for &lpn in &writes {
             ftl.write(lpn).unwrap();
         }
@@ -187,17 +182,9 @@ proptest! {
     /// leveling must keep the erase load spread, i.e. the max/mean per-block
     /// erase ratio stays bounded once GC has cycled the whole device.
     #[test]
-    fn wear_leveling_bounds_max_over_mean(
-        seed in 0u64..500,
-        striped in any::<bool>(),
-    ) {
+    fn wear_leveling_bounds_max_over_mean(seed in 0u64..500) {
         let geometry = SsdGeometry::tiny();
-        let policy = if striped {
-            AllocationPolicy::Striped
-        } else {
-            AllocationPolicy::RangePartitioned
-        };
-        let mut ftl = Ftl::new(geometry, policy, 0.25);
+        let mut ftl = Ftl::new(geometry, 0.25);
         // A hot working set of 40 LPNs overwritten 100 times churns far
         // more pages than the device holds, forcing many GC cycles.
         let lpns: Vec<u64> = (0..40).map(|i| (i * 11 + seed) % 96).collect();
@@ -211,9 +198,7 @@ proptest! {
         // Leveling acts per die (allocation takes the least-worn free block
         // of the die): within any die that cycled all its blocks at least
         // once, no block may carry more than a small multiple of the die's
-        // mean erase load. Whole-device max/mean would be meaningless under
-        // RangePartitioned, where cold channels never erase at all. The
-        // bound is deliberately loose (greedy GC is not perfect leveling)
+        // mean erase load. The bound is deliberately loose (greedy GC is not perfect leveling)
         // but fails immediately if leveling regresses to e.g. always
         // reusing the first free block.
         let counts = ftl.erase_counts();
@@ -246,7 +231,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(96), 200..600),
     ) {
         let geometry = SsdGeometry::tiny();
-        let mut ftl = Ftl::new(geometry, AllocationPolicy::Striped, 0.25);
+        let mut ftl = Ftl::new(geometry, 0.25);
         let mut live: HashMap<u64, ()> = HashMap::new();
         for (i, op) in ops.iter().enumerate() {
             match *op {

@@ -1,15 +1,14 @@
 //! Interleaving study: how the three storing strategies of §5 shape flash
-//! channel load and end-to-end throughput, including the deployment path
-//! through the FTL's range-partitioned logical space.
+//! channel load and end-to-end throughput.
 //!
 //! ```text
 //! cargo run --example interleaving_study
 //! ```
 
 use ecssd::arch::{EcssdConfig, EcssdMachine, MachineVariant};
-use ecssd::layout::{DeploymentPlanner, InterleavingStrategy};
-use ecssd::ssd::{AllocationPolicy, Ftl, ImbalanceReport, SsdGeometry};
-use ecssd::workloads::{Benchmark, CandidateSource, SampledWorkload, TraceConfig};
+use ecssd::layout::InterleavingStrategy;
+use ecssd::ssd::ImbalanceReport;
+use ecssd::workloads::{Benchmark, SampledWorkload, TraceConfig};
 
 fn main() {
     let bench = Benchmark::by_abbrev("GNMT-E32K").expect("known benchmark");
@@ -65,31 +64,4 @@ fn main() {
         let balance = ImbalanceReport::from_loads(&loads).balance();
         println!("  {label:<8} {loads:?}  balance {balance:.2}");
     }
-
-    // --- Deployment through the FTL --------------------------------------
-    // The learned framework only assigns logical addresses; the stock FTL
-    // places rows physically (§5.3). Demonstrate on a small device.
-    let geometry = SsdGeometry::tiny();
-    let mut ftl = Ftl::new(geometry, AllocationPolicy::RangePartitioned, 0.25);
-    let mut planner = DeploymentPlanner::new(&ftl, geometry.channels);
-    let workload = SampledWorkload::new(bench, trace);
-    let predicted = workload.predicted_hotness(0);
-    let layout = InterleavingStrategy::Learned(Default::default()).assign_tile(
-        0,
-        workload.num_tiles(),
-        0,
-        &predicted[..128],
-        None,
-        geometry.channels,
-    );
-    let lpns = planner
-        .deploy_tile(&mut ftl, &layout, 1)
-        .expect("device has space");
-    let mut per_channel = vec![0usize; geometry.channels];
-    for (row, &lpn) in lpns.iter().enumerate() {
-        let addr = ftl.translate(lpn).expect("just written");
-        assert_eq!(addr.channel, layout.channel_of(row), "FTL honors the plan");
-        per_channel[addr.channel] += 1;
-    }
-    println!("\ndeployed 128 rows through the FTL; physical rows per channel: {per_channel:?}");
 }

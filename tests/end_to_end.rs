@@ -1,13 +1,11 @@
-//! Cross-crate integration tests: the Table-1 API, the performance machine,
-//! and the layout/FTL deployment path working together.
+//! Cross-crate integration tests: the Table-1 API, the performance machine
+//! and the workloads working together.
 
 use ecssd::arch::{Ecssd, EcssdConfig, EcssdMachine, EcssdMode, MachineVariant};
-use ecssd::layout::{DeploymentPlanner, InterleavingStrategy, LearnedConfig};
+use ecssd::layout::InterleavingStrategy;
 use ecssd::screen::{full_classify, topk_recall, ClassifyPrecision, DenseMatrix, ThresholdPolicy};
-use ecssd::ssd::{AllocationPolicy, Ftl, SimTime, SsdGeometry};
-use ecssd::workloads::{
-    Benchmark, CandidateSource, ComputedWorkload, SampledWorkload, TraceConfig,
-};
+use ecssd::ssd::SimTime;
+use ecssd::workloads::{Benchmark, ComputedWorkload, SampledWorkload, TraceConfig};
 
 fn planted_weights(l: usize, d: usize, seed: u64) -> DenseMatrix {
     let mut w = DenseMatrix::random(l, d, seed);
@@ -115,53 +113,6 @@ fn computed_and_sampled_workloads_drive_the_same_machine() {
         assert!(r.makespan.as_ns() > 0);
         assert!(r.candidate_rows > 0);
         assert!(r.fp_channel_utilization > 0.0);
-    }
-}
-
-#[test]
-fn learned_layout_deploys_through_the_stock_ftl() {
-    // The full §5.3 path: predict hotness from the *real* INT4 screener of
-    // a computed workload, fine-tune with training frequencies, assign
-    // channels, deploy via logical addresses, and verify physical
-    // placement and balance.
-    let bench = Benchmark::by_abbrev("GNMT-E32K").unwrap();
-    let mut workload =
-        ComputedWorkload::generate(bench, 1024, TraceConfig::paper_default(), 23).unwrap();
-    let geometry = SsdGeometry::tiny();
-    let mut ftl = Ftl::new(geometry, AllocationPolicy::RangePartitioned, 0.25);
-    let mut planner = DeploymentPlanner::new(&ftl, geometry.channels);
-    let strategy = InterleavingStrategy::Learned(LearnedConfig::paper_default());
-
-    let tiles = workload.num_tiles().min(2);
-    let mut row_lpns = Vec::new();
-    for t in 0..tiles {
-        let predicted = workload.predicted_hotness(t);
-        let freq = workload.training_frequency(t, 12);
-        let range = workload.tile_row_range(t);
-        let layout = strategy.assign_tile(
-            t,
-            workload.num_tiles(),
-            range.start,
-            &predicted,
-            Some(&freq),
-            geometry.channels,
-        );
-        let lpns = planner.deploy_tile(&mut ftl, &layout, 1).unwrap();
-        row_lpns.push((t, layout, lpns));
-    }
-    // Candidates of an eval query hit nearly balanced channels.
-    for (t, layout, lpns) in &row_lpns {
-        let range = workload.tile_row_range(*t);
-        let cands = workload.candidates(0, *t);
-        let mut per_channel = vec![0u64; geometry.channels];
-        for &row in &cands {
-            let local = (row - range.start) as usize;
-            let addr = ftl.translate(lpns[local]).unwrap();
-            assert_eq!(addr.channel, layout.channel_of(local));
-            per_channel[addr.channel] += 1;
-        }
-        let total: u64 = per_channel.iter().sum();
-        assert_eq!(total, cands.len() as u64);
     }
 }
 

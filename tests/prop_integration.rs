@@ -1,8 +1,8 @@
 //! Cross-crate property tests.
 
 use ecssd::arch::{DegradationPolicy, EcssdConfig, EcssdMachine, MachineVariant};
-use ecssd::layout::{channel_loads, DeploymentPlanner, InterleavingStrategy, TileLayout};
-use ecssd::ssd::{AllocationPolicy, FaultPlan, Ftl, SsdGeometry};
+use ecssd::layout::{channel_loads, InterleavingStrategy, TileLayout};
+use ecssd::ssd::FaultPlan;
 use ecssd::workloads::{Benchmark, SampledWorkload, TraceConfig};
 use proptest::prelude::*;
 
@@ -70,26 +70,6 @@ proptest! {
         let candidates: Vec<usize> = picks.iter().map(|i| i.index(assignment.len())).collect();
         let loads = channel_loads(&layout, &candidates);
         prop_assert_eq!(loads.iter().sum::<u64>(), candidates.len() as u64);
-    }
-
-    /// Deployment through the FTL always lands rows on the planned channel,
-    /// for arbitrary learned layouts.
-    #[test]
-    fn deployment_respects_any_plan(
-        assignment in prop::collection::vec(0u8..4, 1..120),
-        pages_per_row in 1u64..3,
-    ) {
-        let geometry = SsdGeometry::tiny();
-        let mut ftl = Ftl::new(geometry, AllocationPolicy::RangePartitioned, 0.25);
-        let mut planner = DeploymentPlanner::new(&ftl, geometry.channels);
-        let layout = TileLayout::from_assignment(assignment, geometry.channels);
-        let lpns = planner.deploy_tile(&mut ftl, &layout, pages_per_row).unwrap();
-        for (row, &lpn) in lpns.iter().enumerate() {
-            for p in 0..pages_per_row {
-                let addr = ftl.translate(lpn + p).unwrap();
-                prop_assert_eq!(addr.channel, layout.channel_of(row));
-            }
-        }
     }
 
     /// The machine's makespan never decreases when the candidate ratio
